@@ -20,6 +20,7 @@ from .errors import (
     SingwaveError,
     TimeReversalError,
     TriangularityError,
+    VanishingDivisorError,
 )
 from .fuchsian import RecursionSpec, assemble_solution, shift_initial_data, solve_recursion
 from .geometry import (
@@ -30,7 +31,7 @@ from .geometry import (
     make_hypersurface,
     solve_pseudo_eikonal,
 )
-from .nonlinearity import NMonomial, Nonlinearity, decompose_homogeneous, monomial
+from .nonlinearity import NMonomial, Nonlinearity, monomial
 from .reduction import (
     ReducedEquation,
     SingularSolution,
@@ -79,6 +80,7 @@ __all__ = [
     "TimeReversalError",
     "TransformedOperator",
     "TriangularityError",
+    "VanishingDivisorError",
     "XSeries",
     "assemble_solution",
     "build_elliptic_reduction",
@@ -88,7 +90,6 @@ __all__ = [
     "check_higher_conditions",
     "check_pseudo_eikonal",
     "check_time_reversal",
-    "decompose_homogeneous",
     "default_grid",
     "make_hypersurface",
     "monomial",

@@ -367,20 +367,5 @@ def cmd_all(args) -> int:
     return EXIT_OK if not failures else EXIT_NUMERIC
 
 
-def run_pipeline(problem_path, out_dir=".", order=None, arithmetic=None,
-                 branch=None, grid=None) -> int:
-    """Programmatic entry point equivalent to ``singwave all``."""
-    args = ["all", "--problem", str(problem_path), "--out", str(out_dir)]
-    if order is not None:
-        args += ["--order", str(order)]
-    if arithmetic:
-        args += ["--arithmetic", arithmetic]
-    if branch is not None:
-        args += ["--branch", str(branch)]
-    if grid is not None:
-        args += ["--grid", grid]
-    return main(args)
-
-
 if __name__ == "__main__":
     sys.exit(main())

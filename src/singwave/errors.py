@@ -49,6 +49,10 @@ class ReductionError(SingwaveError):
     """The reduced equation cannot be assembled (failed cancellation)."""
 
 
+class VanishingDivisorError(SingwaveError):
+    """A divisor of the order-by-order recursion vanishes (invalid regime)."""
+
+
 class TriangularityError(SingwaveError):
     """A slice evaluator was asked to read a coefficient it must not depend on."""
 

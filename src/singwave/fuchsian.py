@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, VanishingDivisorError
 from .reduction import (
     REGIME_FRACTIONAL,
     ReducedEquation,
@@ -25,8 +25,9 @@ DEFAULT_ORDER = 8
 class RecursionSpec:
     """A reduced equation plus the data that selects one solution:
     the trace v0 on the surface (log family only) and the truncation
-    order K.  Memory and time grow like K^2 times the square of the
-    number of stored x-coefficients."""
+    order K.  The number of XSeries products per solve grows about as
+    K^2.25 and rational wall time about as K^3 (coefficient sizes grow
+    with K too); each product visits at most C(2n+D, D) term pairs."""
 
     equation: ReducedEquation
     v0: XSeries | None = None
@@ -47,7 +48,8 @@ class RecursionSpec:
                 f"requested order {self.K} exceeds the equation's truncation {eq.max_order}"
             )
         for k in range(eq.first_index, self.K + 1):
-            assert eq.divisor(k) != 0, "recursion divisor vanished; invalid regime"
+            if eq.divisor(k) == 0:
+                raise VanishingDivisorError(f"recursion divisor vanishes at k={k}")
 
 
 def shift_initial_data(spec: RecursionSpec) -> RecursionSpec:

@@ -26,7 +26,7 @@ from .errors import (
     NoRealRootError,
 )
 from .nonlinearity import Nonlinearity
-from .series import XSeries, _is_exact, _inv_scalar, exact_fraction_sqrt
+from .series import XSeries, _is_exact, _inv_scalar, exact_fraction_root
 
 #: coefficients below this are treated as zero when float arithmetic is in play
 FLOAT_ZERO_TOL = 1e-10
@@ -236,7 +236,7 @@ def _pick_root(A, B, C, branch):
     if disc < 0:
         raise NoRealRootError("no real root for the transverse slope")
     if exact:
-        sq = exact_fraction_sqrt(Fraction(disc))
+        sq = exact_fraction_root(disc)
         if sq is None:
             raise InputError(
                 "the slope discriminant is not a rational square; "

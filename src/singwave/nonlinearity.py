@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import CompatibilityError, InputError
-from .series import Exponent, SeriesContext, SigmaSeries, XSeries
+from .series import Exponent, SeriesContext, SigmaSeries, XSeries, horner
 
 DEFAULT_MAX_T_DEGREE = 4
 
@@ -35,20 +35,12 @@ def tpoly_normalize(coeff, ctx: SeriesContext) -> tuple:
         out = []
         for c in coeff:
             out.append(c if isinstance(c, XSeries) else ctx.constant(c) if c != 0 else ctx.zero())
-        while out and not out[-1].coeffs:
+        while out and out[-1].is_zero():
             out.pop()
         return tuple(out)
     if coeff == 0:
         return ()
     return (ctx.constant(coeff),)
-
-
-def tpoly_mul(a: Sequence[XSeries], b: Sequence[XSeries], ctx: SeriesContext) -> tuple:
-    out = [ctx.zero() for _ in range(max(len(a) + len(b) - 1, 0))]
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] = out[i + j] + ai * bj
-    return tuple(out)
 
 
 def tpoly_diff_t(a: Sequence[XSeries]) -> tuple:
@@ -57,13 +49,6 @@ def tpoly_diff_t(a: Sequence[XSeries]) -> tuple:
 
 def tpoly_diff_x(a: Sequence[XSeries], i: int) -> tuple:
     return tuple(c.partial(i) for c in a)
-
-
-def tpoly_eval_numeric(a: Sequence[XSeries], t_value, point):
-    value = 0
-    for c in reversed(a):
-        value = value * t_value + c.eval(point)
-    return value
 
 
 def tpoly_on_sigma(a: Sequence[XSeries], psi: XSeries, kind: str, m: int,
@@ -78,7 +63,7 @@ def tpoly_on_sigma(a: Sequence[XSeries], psi: XSeries, kind: str, m: int,
     for d, c in enumerate(a):
         if d > 0:
             power = power * t_series
-        if c.coeffs:
+        if not c.is_zero():
             out = out + power * c
     return out
 
@@ -168,10 +153,6 @@ class Nonlinearity:
     def n(self) -> int:
         return self.xctx.n
 
-    @property
-    def top_degree(self) -> int:
-        return self.m + 1
-
     def part(self, l: int) -> tuple:
         return self.parts[l]
 
@@ -194,9 +175,9 @@ class Nonlinearity:
         for mono in self.parts[l]:
             c = psi.ctx.zero()
             for d, cd in enumerate(mono.coeff):
-                if cd.coeffs:
+                if not cd.is_zero():
                     c = c + cd * ppow(psi_pows, psi, d)
-            if not c.coeffs:
+            if c.is_zero():
                 continue
             sign = -1 if mono.tau_power % 2 else 1
             term = c * sign
@@ -257,7 +238,7 @@ class Nonlinearity:
             for mono in self.parts[l]:
                 term = zero
                 for d, cd in enumerate(mono.coeff):
-                    if cd.coeffs:
+                    if not cd.is_zero():
                         term = term + grow(t_pows, t_series, d) * cd
                 if term.is_zero():
                     continue
@@ -274,14 +255,24 @@ class Nonlinearity:
 
     # -- pointwise evaluation --------------------------------------------------
 
-    def eval_numeric(self, t_value, point, tau_value, xi_values, part: int | None = None):
+    def layer_values(self, point) -> tuple:
+        """The t-layers of every monomial coefficient evaluated at
+        ``point``, indexed like ``parts``."""
+        return tuple(tuple([c.eval(point) for c in mono.coeff] for mono in part)
+                     for part in self.parts)
+
+    def eval_numeric(self, t_value, point, tau_value, xi_values, part: int | None = None,
+                     layers: tuple | None = None):
         """Evaluate f (or one part) at numbers; used by the eikonal root
-        search and the numeric residual sampler."""
+        search and the numeric residual sampler.  ``layers``, from
+        ``layer_values(point)``, spares re-evaluating the coefficients
+        when many (t, tau, xi) are sampled at one point."""
         parts = range(self.m + 2) if part is None else (part,)
         total = 0
         for l in parts:
-            for mono in self.parts[l]:
-                value = tpoly_eval_numeric(mono.coeff, t_value, point)
+            for j, mono in enumerate(self.parts[l]):
+                value = horner(layers[l][j] if layers is not None
+                               else [c.eval(point) for c in mono.coeff], t_value)
                 if value == 0:
                     continue
                 value = value * tau_value**mono.tau_power
@@ -307,8 +298,3 @@ class Nonlinearity:
                 new_part.append(NMonomial(coeff, mono.tau_power, mono.xi_powers))
             parts.append(new_part)
         return Nonlinearity(self.xctx, self.m, parts, self.max_t_degree)
-
-
-def decompose_homogeneous(raw: Iterable[NMonomial], m: int, xctx: SeriesContext,
-                          max_t_degree: int = DEFAULT_MAX_T_DEGREE) -> Nonlinearity:
-    return Nonlinearity.decompose_homogeneous(raw, m, xctx, max_t_degree)

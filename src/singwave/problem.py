@@ -108,11 +108,12 @@ def parse_terms(raw, ctx: SeriesContext, rational: bool, what: str) -> XSeries:
         if not (isinstance(item, (list, tuple)) and len(item) == 2):
             raise SchemaError(f"{what}: each term must be [exponents, value], got {item!r}")
         exponent, value = item
-        if not isinstance(exponent, (list, tuple)) or len(exponent) != ctx.n:
+        if (not isinstance(exponent, (list, tuple)) or len(exponent) != ctx.n
+                or not all(isinstance(p, int) and not isinstance(p, bool) for p in exponent)):
             raise SchemaError(
                 f"{what}: exponent {exponent!r} must list {ctx.n} integer powers"
             )
-        e = tuple(int(p) for p in exponent)
+        e = tuple(exponent)
         coeffs[e] = coeffs.get(e, 0) + parse_number(value, rational)
     try:
         return ctx.from_coeffs(coeffs)
@@ -289,6 +290,12 @@ def parse_problem(data: dict, order_override: int | None = None,
     verify_options = data.get("verify", {})
     if not isinstance(verify_options, dict):
         raise SchemaError("verify must be an object")
+    for key, types in (("radius", (int, float)), ("points", int), ("tol_symbolic", (int, float)),
+                       ("tol_numeric", (int, float, type(None)))):
+        value = verify_options.get(key, 0)
+        if isinstance(value, bool) or not isinstance(value, types):
+            kind = "an integer" if types is int else "a number"
+            raise SchemaError(f"verify.{key} must be {kind}, got {value!r}")
 
     return ProblemSpec(
         n=n, mode=mode, m=m, a=a, base_point=base_point, D=D, K=K,

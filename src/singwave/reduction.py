@@ -381,18 +381,22 @@ def build_elliptic_reduction(phi: XSeries, a, K: int = 8) -> ReducedEquation:
     """
     if a == 0:
         raise InputError("the blowup coefficient a must be nonzero")
-    ctx = phi.ctx
+    op = elliptic_operator(phi)
+    return ReducedEquation(
+        regime=REGIME_ELLIPTIC, a=a, m=1, sigma_kind="T", xctx=phi.ctx, max_order=K,
+        operator=op, f=gradient_square_f(phi.ctx, a), surface=phi,
+        principal_inv=op.coeff_TT.reciprocal(),
+    )
+
+
+def gradient_square_f(ctx: SeriesContext, a) -> Nonlinearity:
+    """f = (tau^2 + |xi|^2) / a, the right side of lap u = (1/a) |grad u|^2."""
     inv_a = _inv_scalar(a)
     monos = [monomial(ctx, inv_a, tau_power=2)]
     for i in range(ctx.n):
         monos.append(monomial(ctx, inv_a, xi_powers=tuple(2 if j == i else 0
                                                           for j in range(ctx.n))))
-    f = Nonlinearity.decompose_homogeneous(monos, 1, ctx)
-    op = elliptic_operator(phi)
-    return ReducedEquation(
-        regime=REGIME_ELLIPTIC, a=a, m=1, sigma_kind="T", xctx=ctx, max_order=K,
-        operator=op, f=f, surface=phi, principal_inv=op.coeff_TT.reciprocal(),
-    )
+    return Nonlinearity.decompose_homogeneous(monos, 1, ctx)
 
 
 # ----------------------------------------------------------------------

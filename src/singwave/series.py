@@ -17,6 +17,13 @@ give the exact rational mode used by test oracles.  All operations are
 pure and the objects are treated as immutable, so values can be shared
 freely between threads and problems.
 
+An ``XSeries`` stores one coefficient per monomial of degree <= D in a
+list indexed by graded-lex rank, zeros included.  The index tables of
+that layout (``IndexPlan``) depend only on (n, D) and are built once per
+shape on first use.  Products visit only the term pairs that survive
+truncation, in a fixed order, so float results do not depend on how a
+series was built.  ``coeffs`` is a read-only view of the nonzero terms.
+
 Truncation is silent: arithmetic never produces terms above the
 truncation degree/order.  Each ``XSeries`` additionally tracks
 ``reliable_degree``, the degree through which its stored coefficients
@@ -29,6 +36,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
+from itertools import accumulate
+from types import MappingProxyType
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import CompatibilityError, DomainError, InputError, SingularDivisionError
@@ -49,16 +59,96 @@ def _inv_scalar(value):
     return 1.0 / value
 
 
-def exact_fraction_sqrt(value: Fraction):
-    """Square root of a non-negative Fraction if it is exactly rational, else None."""
+def exact_fraction_root(value, m: int = 2):
+    """The non-negative m-th root of a non-negative rational if it is
+    rational, else None."""
     value = Fraction(value)
-    if value < 0:
-        return None
-    ns = math.isqrt(value.numerator)
-    ds = math.isqrt(value.denominator)
-    if ns * ns == value.numerator and ds * ds == value.denominator:
-        return Fraction(ns, ds)
-    return None
+    num = _exact_int_root(value.numerator, m)
+    den = _exact_int_root(value.denominator, m)
+    return None if num is None or den is None else Fraction(num, den)
+
+
+def horner(values: Sequence, x):
+    """sum_k values[k] * x^k, Horner from the top coefficient down."""
+    value = 0
+    for c in reversed(values):
+        value = value * x + c
+    return value
+
+
+def _exponents_of_degree(n: int, d: int) -> Iterable[Exponent]:
+    """All exponent tuples of total degree exactly d, lexicographically."""
+    if n == 0:
+        if d == 0:
+            yield ()
+        return
+    for first in range(d + 1):
+        for rest in _exponents_of_degree(n - 1, d - first):
+            yield (first,) + rest
+
+
+class IndexPlan:
+    """Index tables of the dense graded layout for one (n, D).
+
+    ``exps[r]`` is the exponent of rank r, ``rank`` the inverse map and
+    ``degree_end[d]`` the number of exponents of degree <= d.  ``products``
+    pairs each left rank r1, in lexicographic order of exps[r1], with the
+    (r2, r) such that exps[r1] + exps[r2] = exps[r] has degree <= D.
+    ``partials[i]`` lists (rank, rank of the derivative, power of x_i).
+    ``horner`` nests (power, child) in descending power, one level per
+    variable; the children at the last variable are ranks."""
+
+    __slots__ = ("exps", "rank", "degree_end", "products", "partials", "horner")
+
+    def __init__(self, n: int, D: int):
+        by_degree = [tuple(_exponents_of_degree(n, d)) for d in range(D + 1)]
+        exps = [e for level in by_degree for e in level]
+        rank = {e: r for r, e in enumerate(exps)}
+        self.exps = tuple(exps)
+        self.rank = MappingProxyType(rank)
+        self.degree_end = tuple(accumulate(len(level) for level in by_degree))
+        self.products = tuple(
+            (r1, tuple((r2, rank[tuple(a + b for a, b in zip(exps[r1], exps[r2]))])
+                       for r2 in range(self.degree_end[D - sum(exps[r1])])))
+            for r1 in sorted(range(len(exps)), key=exps.__getitem__))
+        self.partials = tuple(
+            tuple((r, rank[e[:i] + (e[i] - 1,) + e[i + 1:]], e[i])
+                  for r, e in enumerate(exps) if e[i])
+            for i in range(n))
+
+        def node(prefix, budget):
+            if len(prefix) == n - 1:
+                return tuple((p, rank[prefix + (p,)]) for p in range(budget, -1, -1))
+            return tuple((p, node(prefix + (p,), budget - p)) for p in range(budget, -1, -1))
+
+        self.horner = node((), D) if n else ()
+
+
+#: the IndexPlan of one (n, D), built on first use and then shared
+index_plan = lru_cache(maxsize=None)(IndexPlan)
+
+
+def _horner_eval(node, c, local, depth: int, last: int):
+    """Horner evaluation variable by variable over the nonzero entries of
+    ``c``: a power with no nonzero terms below it is skipped, not added
+    as zero.  None when every coefficient under ``node`` is zero."""
+    x = local[depth]
+    value, prev = None, 0
+    for power, child in node:
+        if depth == last:
+            part = c[child] or None
+        else:
+            part = _horner_eval(child, c, local, depth + 1, last)
+        if part is None:
+            continue
+        if value is not None:
+            for _ in range(prev - power):
+                value = value * x
+            part = value + part
+        value, prev = part, power
+    for _ in range(prev):
+        value = value * x
+    return value
 
 
 @dataclass(frozen=True)
@@ -76,13 +166,17 @@ class SeriesContext:
         if self.max_degree < 0:
             raise InputError("max_degree must be >= 0")
 
+    @cached_property
+    def plan(self) -> IndexPlan:
+        return index_plan(self.n, self.max_degree)
+
     # -- constructors ------------------------------------------------
 
     def zero(self) -> "XSeries":
-        return XSeries(self, {})
+        return _xseries(self, [0] * len(self.plan.exps), self.max_degree)
 
     def constant(self, value: Scalar) -> "XSeries":
-        return XSeries(self, {self.zero_exponent(): value})
+        return _xseries(self, [value] + [0] * (len(self.plan.exps) - 1), self.max_degree)
 
     def variable(self, i: int, coeff: Scalar = 1) -> "XSeries":
         """The coordinate function x_i as a series around the base point."""
@@ -96,56 +190,65 @@ class SeriesContext:
         return XSeries(self, coeffs)
 
     def from_coeffs(self, coeffs: dict) -> "XSeries":
-        return XSeries(self, dict(coeffs))
+        return XSeries(self, coeffs)
 
     def zero_exponent(self) -> Exponent:
         return (0,) * self.n
 
     def exponents_of_degree(self, d: int) -> Iterable[Exponent]:
         """All exponent tuples of total degree exactly d."""
+        return _exponents_of_degree(self.n, d)
 
-        def rec(k, rem):
-            if k == 1:
-                yield (rem,)
-                return
-            for first in range(rem + 1):
-                for rest in rec(k - 1, rem - first):
-                    yield (first,) + rest
 
-        if self.n == 0:
-            if d == 0:
-                yield ()
-            return
-        yield from rec(self.n, d)
+def _xseries(ctx: SeriesContext, c: list, reliable_degree: int) -> "XSeries":
+    """An XSeries over a dense coefficient list built by this module
+    (trusted: no validation, the list is not copied)."""
+    xs = object.__new__(XSeries)
+    xs.ctx = ctx
+    xs._c = c
+    xs._view = None
+    xs.reliable_degree = reliable_degree
+    return xs
 
 
 class XSeries:
     """Truncated multivariate power series in the spatial variables.
 
-    ``coeffs`` maps exponent tuples to scalar coefficients; missing
-    entries are zero.  Total degrees never exceed ``ctx.max_degree``.
+    ``coeffs`` maps exponent tuples to the nonzero scalar coefficients;
+    missing entries are zero.  Total degrees never exceed
+    ``ctx.max_degree``.
     """
 
-    __slots__ = ("ctx", "coeffs", "reliable_degree")
+    __slots__ = ("ctx", "_c", "_view", "reliable_degree")
 
     def __init__(self, ctx: SeriesContext, coeffs: dict, reliable_degree: int | None = None):
-        clean = {}
-        for e, c in coeffs.items():
-            if len(e) != ctx.n or any(p < 0 for p in e):
+        rank = ctx.plan.rank
+        c = [0] * len(rank)
+        for e, value in coeffs.items():
+            r = rank.get(tuple(e))
+            if r is None:
+                if len(e) == ctx.n and all(p >= 0 for p in e) and sum(e) > ctx.max_degree:
+                    raise InputError(f"exponent {e} exceeds truncation degree {ctx.max_degree}")
                 raise InputError(f"bad exponent {e} for n={ctx.n}")
-            if sum(e) > ctx.max_degree:
-                raise InputError(
-                    f"exponent {e} exceeds truncation degree {ctx.max_degree}"
-                )
-            if c != 0:
-                clean[tuple(e)] = c
+            if value != 0:
+                c[r] = value
         self.ctx = ctx
-        self.coeffs = clean
+        self._c = c
+        self._view = None
         self.reliable_degree = ctx.max_degree if reliable_degree is None else min(
             reliable_degree, ctx.max_degree
         )
 
     # -- metadata ----------------------------------------------------
+
+    @property
+    def coeffs(self):
+        """Read-only mapping exponent -> coefficient of the nonzero terms,
+        in graded-lex order."""
+        if self._view is None:
+            exps = self.ctx.plan.exps
+            self._view = MappingProxyType({exps[r]: c for r, c in enumerate(self._c) if c})
+        return self._view
 
     @property
     def n(self) -> int:
@@ -160,7 +263,7 @@ class XSeries:
         return self.ctx.max_degree
 
     def _check_compat(self, other: "XSeries"):
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise CompatibilityError(
                 f"incompatible series contexts {self.ctx} vs {other.ctx}"
             )
@@ -175,19 +278,14 @@ class XSeries:
 
     def __add__(self, other):
         other = self._coerce(other)
-        out = dict(self.coeffs)
-        for e, c in sorted(other.coeffs.items()):
-            s = out.get(e, 0) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return XSeries(self.ctx, out, min(self.reliable_degree, other.reliable_degree))
+        # a term missing on one side is copied, never added to zero
+        out = [x + y if x and y else x or y for x, y in zip(self._c, other._c)]
+        return _xseries(self.ctx, out, min(self.reliable_degree, other.reliable_degree))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return XSeries(self.ctx, {e: -c for e, c in self.coeffs.items()}, self.reliable_degree)
+        return _xseries(self.ctx, [-x if x else 0 for x in self._c], self.reliable_degree)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -199,26 +297,20 @@ class XSeries:
         if not isinstance(other, XSeries):
             if other == 0:
                 return self.ctx.zero()
-            return XSeries(
-                self.ctx, {e: c * other for e, c in self.coeffs.items()}, self.reliable_degree
-            )
+            out = [x * other if x else 0 for x in self._c]
+            return _xseries(self.ctx, out, self.reliable_degree)
         self._check_compat(other)
-        cap = self.ctx.max_degree
-        out: dict = {}
-        # sorted iteration keeps float accumulation order independent of
-        # the operands' insertion order (determinism invariant)
-        for e1, c1 in sorted(self.coeffs.items()):
-            d1 = sum(e1)
-            for e2, c2 in sorted(other.coeffs.items()):
-                if d1 + sum(e2) > cap:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return XSeries(self.ctx, out, min(self.reliable_degree, other.reliable_degree))
+        a, b = self._c, other._c
+        out = [0] * len(a)
+        # the plan fixes the accumulation order (determinism invariant)
+        for r1, pairs in self.ctx.plan.products:
+            c1 = a[r1]
+            if c1:
+                for r2, r in pairs:
+                    c2 = b[r2]
+                    if c2:
+                        out[r] = out[r] + c1 * c2
+        return _xseries(self.ctx, out, min(self.reliable_degree, other.reliable_degree))
 
     __rmul__ = __mul__
 
@@ -249,13 +341,12 @@ class XSeries:
         """
         if not 0 <= i < self.n:
             raise InputError(f"variable index {i} out of range for n={self.n}")
-        out = {}
-        for e, c in self.coeffs.items():
-            if e[i] == 0:
-                continue
-            de = tuple(p - 1 if j == i else p for j, p in enumerate(e))
-            out[de] = c * e[i]
-        return XSeries(self.ctx, out, self.reliable_degree - 1)
+        a = self._c
+        out = [0] * len(a)
+        for r, target, power in self.ctx.plan.partials[i]:
+            if a[r]:
+                out[target] = a[r] * power
+        return _xseries(self.ctx, out, self.reliable_degree - 1)
 
     def reciprocal(self) -> "XSeries":
         """Multiplicative inverse as a truncated geometric series.
@@ -264,7 +355,7 @@ class XSeries:
         division by a function that is zero on the expansion center
         (e.g. a characteristic surface).
         """
-        c0 = self.coeffs.get(self.ctx.zero_exponent(), 0)
+        c0 = self.constant_term()
         if c0 == 0:
             raise SingularDivisionError("constant term vanishes; cannot invert series")
         inv0 = _inv_scalar(c0)
@@ -274,7 +365,7 @@ class XSeries:
         power = self.ctx.constant(1)
         for _ in range(self.ctx.max_degree):
             power = power * q
-            if not power.coeffs:
+            if power.is_zero():
                 break
             acc = acc + power
         return (acc * inv0).with_reliable(self.reliable_degree)
@@ -286,42 +377,38 @@ class XSeries:
         coordinates), Horner-style variable by variable."""
         if len(point) != self.n:
             raise InputError(f"point has {len(point)} entries, expected {self.n}")
+        if not self.n:
+            return self._c[0] or 0
         local = tuple(p - b for p, b in zip(point, self.base_point))
-        return _eval_grouped(sorted(self.coeffs.items()), local, self.n)
+        value = _horner_eval(self.ctx.plan.horner, self._c, local, 0, self.n - 1)
+        return 0 if value is None else value
 
     def constant_term(self):
-        return self.coeffs.get(self.ctx.zero_exponent(), 0)
+        return self._c[0] or 0
 
     def max_abs(self) -> float:
-        if not self.coeffs:
-            return 0.0
-        return max(abs(c) for c in self.coeffs.values())
+        return max((abs(c) for c in self._c if c), default=0.0)
 
     def is_zero(self, tol: float = 0.0) -> bool:
         if tol == 0.0:
-            return not self.coeffs
-        return all(abs(c) <= tol for c in self.coeffs.values())
+            return not any(self._c)
+        return all(abs(c) <= tol for c in self._c if c)
 
     def truncated(self, degree: int) -> "XSeries":
-        return XSeries(
-            self.ctx,
-            {e: c for e, c in self.coeffs.items() if sum(e) <= degree},
-            self.reliable_degree,
-        )
+        keep = self.ctx.plan.degree_end[min(degree, self.max_degree)] if degree >= 0 else 0
+        out = self._c[:keep] + [0] * (len(self._c) - keep)
+        return _xseries(self.ctx, out, self.reliable_degree)
 
     def up_to_reliable(self) -> "XSeries":
         return self.truncated(max(self.reliable_degree, -1))
 
     def with_reliable(self, degree: int) -> "XSeries":
-        return XSeries(self.ctx, self.coeffs, degree)
-
-    def map_coeffs(self, fn: Callable) -> "XSeries":
-        return XSeries(self.ctx, {e: fn(c) for e, c in self.coeffs.items()}, self.reliable_degree)
+        return _xseries(self.ctx, self._c, min(degree, self.max_degree))
 
     def __eq__(self, other):
         if not isinstance(other, XSeries):
             return NotImplemented
-        return self.ctx == other.ctx and self.coeffs == other.coeffs
+        return self.ctx == other.ctx and self._c == other._c
 
     __hash__ = None
 
@@ -329,41 +416,10 @@ class XSeries:
         if not self.coeffs:
             return "XSeries(0)"
         terms = []
-        for e, c in sorted(self.coeffs.items(), key=lambda item: (sum(item[0]), item[0])):
+        for e, c in self.coeffs.items():
             mono = "*".join(f"dx{i}^{p}" for i, p in enumerate(e) if p)
             terms.append(f"{c}" + (f"*{mono}" if mono else ""))
         return "XSeries(" + " + ".join(terms) + ")"
-
-
-def _eval_grouped(items, local, n):
-    """Horner-style evaluation: recurse over variables, Horner in each."""
-    if not items:
-        return 0
-    if n == 0:
-        return items[0][1]
-
-    def rec(items, depth):
-        if depth == n:
-            return items[0][1]
-        groups: dict = {}
-        for e, c in items:
-            groups.setdefault(e[depth], []).append((e, c))
-        x = local[depth]
-        value = 0
-        prev_power = None
-        for power in sorted(groups, reverse=True):
-            if prev_power is None:
-                value = rec(groups[power], depth + 1)
-            else:
-                for _ in range(prev_power - power):
-                    value = value * x
-                value = value + rec(groups[power], depth + 1)
-            prev_power = power
-        for _ in range(prev_power or 0):
-            value = value * x
-        return value
-
-    return rec(items, 0)
 
 
 # ----------------------------------------------------------------------
@@ -398,9 +454,9 @@ class SigmaSeries:
             raise InputError("max_order must be >= 0")
         coeffs = list(coeffs)[: max_order + 1]
         for c in coeffs:
-            if c.ctx != xctx:
+            if c.ctx is not xctx and c.ctx != xctx:
                 raise CompatibilityError("sigma coefficient over a different XSeries context")
-        while coeffs and not coeffs[-1].coeffs:
+        while coeffs and coeffs[-1].is_zero():
             coeffs.pop()
         self.kind = kind
         self.m = m
@@ -437,11 +493,8 @@ class SigmaSeries:
         if isinstance(value, SigmaSeries):
             self._check_compat(value)
             return value
-        if isinstance(value, XSeries):
-            return SigmaSeries.from_xseries(value, self.kind, self.m, self.max_order)
-        return SigmaSeries.from_xseries(
-            self.xctx.constant(value), self.kind, self.m, self.max_order
-        )
+        xs = value if isinstance(value, XSeries) else self.xctx.constant(value)
+        return SigmaSeries.from_xseries(xs, self.kind, self.m, self.max_order)
 
     def _like(self, coeffs) -> "SigmaSeries":
         return SigmaSeries(self.kind, self.m, self.max_order, self.xctx, coeffs)
@@ -467,19 +520,17 @@ class SigmaSeries:
     def __mul__(self, other):
         """Truncated convolution in sigma (or scaling by a scalar/XSeries)."""
         if not isinstance(other, SigmaSeries):
-            if isinstance(other, XSeries):
-                return self._like([c * other for c in self.coeffs])
             return self._like([c * other for c in self.coeffs])
         self._check_compat(other)
         size = min(self.max_order, len(self.coeffs) + len(other.coeffs) - 2) if self.coeffs and other.coeffs else -1
         out = [self.xctx.zero() for _ in range(size + 1)]
         for i, ci in enumerate(self.coeffs):
-            if not ci.coeffs:
+            if ci.is_zero():
                 continue
             for j, cj in enumerate(other.coeffs):
                 if i + j > self.max_order:
                     break
-                if not cj.coeffs:
+                if cj.is_zero():
                     continue
                 out[i + j] = out[i + j] + ci * cj
         return self._like(out)
@@ -523,22 +574,14 @@ class SigmaSeries:
             raise DomainError("sigma series live on the side T = t - psi(x) > 0")
         if self.kind == KIND_T:
             return T_value
-        if _is_exact(T_value):
-            fr = Fraction(T_value)
-            num = _exact_int_root(fr.numerator, self.m)
-            den = _exact_int_root(fr.denominator, self.m)
-            if num is not None and den is not None:
-                return Fraction(num, den)
-        return float(T_value) ** (1.0 / self.m)
+        root = exact_fraction_root(T_value, self.m) if _is_exact(T_value) else None
+        return float(T_value) ** (1.0 / self.m) if root is None else root
 
     def eval(self, T_value, point):
         return self.eval_at_sigma(self.sigma_of(T_value), point)
 
     def eval_at_sigma(self, sigma, point):
-        value = 0
-        for c in reversed(self.coeffs):
-            value = value * sigma + c.eval(point)
-        return value
+        return horner([c.eval(point) for c in self.coeffs], sigma)
 
     def max_abs(self) -> float:
         return max((c.max_abs() for c in self.coeffs), default=0.0)
@@ -563,51 +606,18 @@ class SigmaSeries:
 
 
 def _exact_int_root(value: int, m: int):
+    """The integer m-th root of ``value`` if it is exact, else None
+    (integer arithmetic throughout: Newton's iteration from above, or
+    ``math.isqrt`` for square roots)."""
     if value < 0:
         return None
-    root = round(value ** (1.0 / m))
-    for candidate in (root - 1, root, root + 1):
-        if candidate >= 0 and candidate**m == value:
-            return candidate
-    return None
-
-
-# ----------------------------------------------------------------------
-# free-function aliases for the core operations
-# ----------------------------------------------------------------------
-
-
-def xs_arith(a: XSeries, b: XSeries, op: str) -> XSeries:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise InputError(f"unknown op {op!r}")
-
-
-def xs_reciprocal(a: XSeries) -> XSeries:
-    return a.reciprocal()
-
-
-def xs_partial(a: XSeries, i: int) -> XSeries:
-    return a.partial(i)
-
-
-def xs_eval(a: XSeries, point):
-    return a.eval(point)
-
-
-def sigma_arith(a: SigmaSeries, b, op: str, j: int = 1) -> SigmaSeries:
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "shift_by_power":
-        return a.shift(j)
-    raise InputError(f"unknown op {op!r}")
-
-
-def sigma_eval(a: SigmaSeries, T_value, x_point):
-    return a.eval(T_value, x_point)
+    if m == 2 or value < 2:
+        root = math.isqrt(value)
+    else:
+        root = 1 << -(-value.bit_length() // m)
+        while True:
+            lower = ((m - 1) * root + value // root ** (m - 1)) // m
+            if lower >= root:
+                break
+            root = lower
+    return root if root**m == value else None

@@ -37,14 +37,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CompatibilityError, DomainError, InputError
-from .nonlinearity import Nonlinearity, monomial
+from .nonlinearity import Nonlinearity
 from .reduction import (
     REGIME_ELLIPTIC,
     REGIME_FRACTIONAL,
     REGIME_NEGATIVE,
     SingularSolution,
+    gradient_square_f,
 )
-from .series import SeriesContext, SigmaSeries, XSeries, _inv_scalar, _is_exact
+from .series import SeriesContext, SigmaSeries, XSeries, _inv_scalar, _is_exact, horner
 
 
 # ----------------------------------------------------------------------
@@ -63,10 +64,10 @@ class PoleSeries:
 
     def __init__(self, kind, m, low, high, xctx, coeffs):
         coeffs = list(coeffs)
-        while coeffs and not coeffs[0].coeffs:
+        while coeffs and coeffs[0].is_zero():
             coeffs.pop(0)
             low += 1
-        while coeffs and not coeffs[-1].coeffs:
+        while coeffs and coeffs[-1].is_zero():
             coeffs.pop()
         if not coeffs:
             low = 0
@@ -127,12 +128,12 @@ class PoleSeries:
             size = self.high - low + 1
             out = [self.xctx.zero() for _ in range(max(size, 0))]
             for i, ci in enumerate(self.coeffs):
-                if not ci.coeffs:
+                if ci.is_zero():
                     continue
                 for j, cj in enumerate(other.coeffs):
                     if i + j >= size:
                         break
-                    if cj.coeffs:
+                    if not cj.is_zero():
                         out[i + j] = out[i + j] + ci * cj
             return PoleSeries(self.kind, self.m, low, self.high, self.xctx, out)
         return PoleSeries(self.kind, self.m, self.low, self.high, self.xctx,
@@ -199,19 +200,10 @@ def _work_problem(sol: SingularSolution, f: Nonlinearity | None):
             raise InputError("the negative-side residual needs the nonlinearity")
         return -sol.surface, f.negate_time(), -1
     if sol.regime == REGIME_ELLIPTIC:
-        return sol.surface, _gradient_square(sol.surface.ctx, sol.a), +1
+        return sol.surface, gradient_square_f(sol.surface.ctx, sol.a), +1
     if f is None:
         raise InputError("the residual needs the nonlinearity")
     return sol.surface, f, -1
-
-
-def _gradient_square(ctx: SeriesContext, a) -> Nonlinearity:
-    inv_a = _inv_scalar(a)
-    monos = [monomial(ctx, inv_a, tau_power=2)]
-    for i in range(ctx.n):
-        monos.append(monomial(ctx, inv_a,
-                              xi_powers=tuple(2 if j == i else 0 for j in range(ctx.n))))
-    return Nonlinearity.decompose_homogeneous(monos, 1, ctx)
 
 
 def symbolic_residual(sol: SingularSolution, f: Nonlinearity | None = None,
@@ -285,7 +277,7 @@ def symbolic_residual(sol: SingularSolution, f: Nonlinearity | None = None,
         for mono in part:
             term = PoleSeries(kind, m, 0, high, ctx, [])
             for d, cd in enumerate(mono.coeff):
-                if cd.coeffs:
+                if not cd.is_zero():
                     term = term + grow(t_pows, t_jet, d) * cd
             if not term.coeffs:
                 continue
@@ -364,9 +356,8 @@ def numeric_residual(sol: SingularSolution, f: Nonlinearity | None = None,
     """Point samples of the residual, the blowup rate of u_t, and their
     log-log fits, together with the symbolic slices."""
     surface, f_work, op_sign = _work_problem(sol, f)
-    ctx = surface.ctx
     if grid is None:
-        grid = default_grid(ctx)
+        grid = default_grid(surface.ctx)
 
     report = ResidualReport()
     try:
@@ -375,9 +366,13 @@ def numeric_residual(sol: SingularSolution, f: Nonlinearity | None = None,
     except InputError:
         report.symbolic_orders = []
 
+    # every x-polynomial is evaluated once per grid point; each sample
+    # then only runs Horner in sigma over those values
+    series = _sample_series(sol, surface)
+    at_points = [_values_at(series, x, f_work) for x in grid.x_points]
     for T in grid.t_values:
-        for x in grid.x_points:
-            residual, u_val, du_dt = _residual_at(sol, surface, f_work, op_sign, T, x)
+        for x, values in zip(grid.x_points, at_points):
+            residual, u_val, du_dt = _residual_at(sol, series, values, f_work, op_sign, T, x)
             report.samples.append((T, x, residual, u_val, du_dt))
 
     report.fitted_slope, report.fitted_slope_stderr = _loglog_fit(
@@ -387,93 +382,98 @@ def numeric_residual(sol: SingularSolution, f: Nonlinearity | None = None,
     return report
 
 
-def _residual_at(sol: SingularSolution, surface: XSeries, f_work: Nonlinearity,
+def _sample_series(sol: SingularSolution, surface: XSeries) -> dict:
+    """The series a residual sample reads, derived once per call: the
+    surface and its partials (XSeries), v and its derivatives
+    (SigmaSeries); lists hold one entry per variable where indexed."""
+    n = surface.ctx.n
+    v = sol.v
+    grad = [surface.partial(i) for i in range(n)]
+    vXi = [v.partial_x(i) for i in range(n)]
+    series = {"psi": [surface], "grad": grad, "gii": [g.partial(i) for i, g in enumerate(grad)],
+              "v": [v], "vXi": vXi, "vXii": [w.partial_x(i) for i, w in enumerate(vXi)]}
+    if sol.regime == REGIME_FRACTIONAL:
+        V1 = v.map_indexed(lambda k, c: c * (sol.m + k) * _inv_scalar(sol.m))
+        series.update(V1=[V1], V1x=[V1.partial_x(i) for i in range(n)])
+    else:
+        vT = v.deriv_sigma()
+        series.update(vT=[vT], vTT=[vT.deriv_sigma()], vTx=[vT.partial_x(i) for i in range(n)])
+    return series
+
+
+def _values_at(series: dict, point, f_work: Nonlinearity) -> dict:
+    """Each XSeries of ``series`` evaluated at ``point``, each SigmaSeries
+    as its evaluated sigma-coefficients, and under "f" the coefficient
+    layers of the nonlinearity."""
+    values = {name: [s.eval(point) if isinstance(s, XSeries)
+                     else [c.eval(point) for c in s.coeffs] for s in items]
+              for name, items in series.items()}
+    values["f"] = f_work.layer_values(point)
+    return values
+
+
+def _residual_at(sol: SingularSolution, series: dict, values: dict, f_work: Nonlinearity,
                  op_sign: int, T, x):
-    """Residual, u and du/dt at one sample point.
+    """Residual, u and du/dt at one sample point, from the values of
+    ``_values_at`` at x.
 
     Works in the frame of the stored series (reflected frame for the
     negative side); u and du/dt are converted back to the original
     orientation for reporting."""
-    ctx = surface.ctx
-    n = ctx.n
     a = sol.a
-    v = sol.v
-    sigma = v.sigma_of(T)
-    point = x
+    sigma = sol.v.sigma_of(T)
+    grad_vals = values["grad"]
+    lap_val = sum(values["gii"], 0 if all(_is_exact(p) for p in x) else 0.0)
+    t_work = values["psi"][0] + T
 
-    grad_vals = [surface.partial(i).eval(point) for i in range(n)]
-    lap_val = sum((surface.partial(i).partial(i).eval(point) for i in range(n)),
-                  0 if _is_exact_point(point) else 0.0)
-    t_work = surface.eval(point) + T
-
-    vT = v.deriv_sigma()
-    vXi = [v.partial_x(i) for i in range(n)]
+    def at(name, i=0):
+        return horner(values[name][i], sigma)
 
     if sol.regime == REGIME_FRACTIONAL:
         m = sol.m
         w0 = a * (m - 1) * _inv_scalar(m)
-        V1 = v.map_indexed(lambda k, c: c * (m + k) * _inv_scalar(m))
-        u_t = w0 / sigma + V1.eval_at_sigma(sigma, point)
-        u_tt = -w0 * _inv_scalar(m) / sigma ** (m + 1) + _eval_dT(V1, sigma, m, point)
-        u_xis = [-g * u_t + sigma**m * vXi[i].eval_at_sigma(sigma, point)
-                 for i, g in enumerate(grad_vals)]
+        u_t = w0 / sigma + at("V1")
+        u_tt = -w0 * _inv_scalar(m) / sigma ** (m + 1) \
+            + _eval_dT(series["V1"][0], values["V1"][0], 0, sigma, m)
+        u_xis = [-g * u_t + sigma**m * at("vXi", i) for i, g in enumerate(grad_vals)]
         lap_u = 0
         for i, g in enumerate(grad_vals):
-            gii = surface.partial(i).partial(i).eval(point)
             lap_u = lap_u + g * g * u_tt \
-                - g * _eval_dT_shift(vXi[i], m, sigma, m, point) \
-                - gii * u_t \
-                - g * V1.partial_x(i).eval_at_sigma(sigma, point) \
-                + sigma**m * vXi[i].partial_x(i).eval_at_sigma(sigma, point)
-        f_val = f_work.eval_numeric(t_work, point, u_t, u_xis)
+                - g * _eval_dT(series["vXi"][i], values["vXi"][i], m, sigma, m) \
+                - values["gii"][i] * u_t \
+                - g * at("V1x", i) \
+                + sigma**m * at("vXii", i)
+        f_val = f_work.eval_numeric(t_work, x, u_t, u_xis, layers=values["f"])
         residual = u_tt - lap_u - f_val
-        u_val = a * sigma ** (m - 1) + sigma**m * v.eval_at_sigma(sigma, point)
+        u_val = a * sigma ** (m - 1) + sigma**m * at("v")
         return residual, u_val, u_t
 
     # logarithmic family: u = -a log T + v
-    vTT = vT.deriv_sigma()
-    u_t = -a / T + vT.eval_at_sigma(sigma, point)
-    u_tt = a / (T * T) + vTT.eval_at_sigma(sigma, point)
-    u_xis = [a * g / T - g * vT.eval_at_sigma(sigma, point)
-             + vXi[i].eval_at_sigma(sigma, point) for i, g in enumerate(grad_vals)]
+    vT, vTT = at("vT"), at("vTT")
+    u_t = -a / T + vT
+    u_tt = a / (T * T) + vTT
+    u_xis = [a * g / T - g * vT + at("vXi", i) for i, g in enumerate(grad_vals)]
     sum_sq = sum((g * g for g in grad_vals), 0 * T)
-    lap_tangential = a * sum_sq / (T * T) + a * lap_val / T \
-        + sum_sq * vTT.eval_at_sigma(sigma, point) \
-        - lap_val * vT.eval_at_sigma(sigma, point)
+    lap_tangential = a * sum_sq / (T * T) + a * lap_val / T + sum_sq * vTT - lap_val * vT
     for i, g in enumerate(grad_vals):
-        lap_tangential = lap_tangential \
-            - 2 * g * vT.partial_x(i).eval_at_sigma(sigma, point) \
-            + vXi[i].partial_x(i).eval_at_sigma(sigma, point)
-    f_val = f_work.eval_numeric(t_work, point, u_t, u_xis)
+        lap_tangential = lap_tangential - 2 * g * at("vTx", i) + at("vXii", i)
+    f_val = f_work.eval_numeric(t_work, x, u_t, u_xis, layers=values["f"])
     residual = u_tt + op_sign * lap_tangential - f_val
-    u_val = -a * math.log(float(T)) + v.eval_at_sigma(sigma, point)
+    u_val = -a * math.log(float(T)) + at("v")
     du_dt = -u_t if sol.regime == REGIME_NEGATIVE else u_t
     return residual, u_val, du_dt
 
 
-def _is_exact_point(point) -> bool:
-    return all(_is_exact(p) for p in point)
-
-
-def _eval_dT(series: SigmaSeries, sigma, m: int, point):
-    """d/dT of a regular s-series, evaluated termwise (the exponents k-m
-    may be negative; sigma > 0 makes that harmless numerically)."""
+def _eval_dT(series: SigmaSeries, values: list, shift: int, sigma, m: int):
+    """d/dT of sigma^shift * series, termwise from the values of its
+    sigma-coefficients (the exponents may be negative; sigma > 0 makes
+    that harmless numerically).  Zero coefficients are skipped."""
     total = 0
-    for k, c in enumerate(series.coeffs):
-        if not c.coeffs or k == 0:
-            continue
-        total = total + c.eval(point) * k * _inv_scalar(m) * sigma ** (k - m)
-    return total
-
-
-def _eval_dT_shift(series: SigmaSeries, shift: int, sigma, m: int, point):
-    """d/dT of sigma^shift * series, evaluated termwise."""
-    total = 0
-    for k, c in enumerate(series.coeffs):
-        if not c.coeffs:
-            continue
+    for k, (c, value) in enumerate(zip(series.coeffs, values)):
         e = k + shift
-        total = total + c.eval(point) * e * _inv_scalar(m) * sigma ** (e - m)
+        if c.is_zero() or e == 0:
+            continue
+        total = total + value * e * _inv_scalar(m) * sigma ** (e - m)
     return total
 
 

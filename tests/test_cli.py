@@ -226,3 +226,20 @@ def test_out_dir_env_fallback(tmp_path, capsys, monkeypatch):
     assert _run(["solve", "--problem", problem]) == 0
     capsys.readouterr()
     assert (env_out / "solution.json").exists()
+
+
+def test_non_numeric_verify_radius_is_a_schema_error(tmp_path, capsys):
+    problem = _write(tmp_path, "p.json", dict(LOG_ODE, verify={"radius": "big"}))
+    assert _run(["all", "--problem", problem, "--out", tmp_path / "o"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["kind"] == "schema"
+    assert "verify.radius" in payload["reason"]
+
+
+@pytest.mark.parametrize("power", ["x", 1.5, True])
+def test_non_integer_exponent_is_a_schema_error(tmp_path, capsys, power):
+    problem = _write(tmp_path, "p.json", dict(LOG_ODE, psi={"coeffs": [[[power], 1]]}))
+    assert _run(["all", "--problem", problem, "--out", tmp_path / "o"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["kind"] == "schema"
+    assert "integer powers" in payload["reason"]

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from singwave.errors import DomainError, InputError
+from singwave.errors import DomainError, InputError, VanishingDivisorError
 from singwave.fuchsian import RecursionSpec, assemble_solution, shift_initial_data, solve_recursion
 from singwave.geometry import make_hypersurface
 from singwave.reduction import (
@@ -262,3 +262,20 @@ def test_gradient_evaluator_plane_wave():
     grad = sol.eval_gradient(t, x)
     assert grad[0] == F(1, 1) / T
     assert grad[1] == 0
+
+
+def test_vanishing_divisor_raises_a_package_error():
+    ctx = ctx_rational(1, 3)
+
+    class ZeroDivisorEquation:
+        regime = "log"
+        first_index = 1
+        max_order = 4
+        xctx = ctx
+
+        @staticmethod
+        def divisor(k):
+            return 0
+
+    with pytest.raises(VanishingDivisorError):
+        RecursionSpec(ZeroDivisorEquation(), ctx.zero(), K=4)

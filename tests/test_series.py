@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from singwave.errors import CompatibilityError, DomainError, InputError, SingularDivisionError
-from singwave.series import SeriesContext, SigmaSeries, XSeries, sigma_eval, xs_eval
+from singwave.series import SeriesContext, SigmaSeries, XSeries, _exact_int_root
 
 from helpers import ctx_rational, random_xseries
 
@@ -116,11 +116,11 @@ def test_partials_commute_random():
 def test_eval_examples():
     ctx = SeriesContext(1, (0.0,), 2)
     p = ctx.constant(1) - ctx.variable(0) ** 2
-    assert xs_eval(p, (0.5,)) == 0.75
-    assert xs_eval(p, (0.0,)) == p.constant_term()
+    assert p.eval((0.5,)) == 0.75
+    assert p.eval((0.0,)) == p.constant_term()
     ctx2 = SeriesContext(2, (0.0, 0.0), 1)
     q = ctx2.variable(0) + ctx2.variable(1)
-    assert xs_eval(q, (1.0, 2.0)) == 3.0
+    assert q.eval((1.0, 2.0)) == 3.0
 
 
 def test_eval_off_center_base_point():
@@ -184,15 +184,15 @@ def test_sigma_kind_mismatch():
 def test_sigma_eval_fractional_square():
     ctx = SeriesContext(1, (0.0,), 2)
     sq = SigmaSeries("s", 2, 2, ctx, [ctx.zero(), ctx.zero(), ctx.constant(1)])
-    assert sigma_eval(sq, 0.09, (0.0,)) == pytest.approx(0.09)
+    assert sq.eval(0.09, (0.0,)) == pytest.approx(0.09)
 
 
 def test_sigma_eval_constant_and_affine():
     ctx = SeriesContext(1, (0.0,), 2)
     c = SigmaSeries("s", 2, 2, ctx, [ctx.constant(3.5)])
-    assert sigma_eval(c, 0.2, (0.0,)) == 3.5
+    assert c.eval(0.2, (0.0,)) == 3.5
     affine = SigmaSeries("s", 2, 2, ctx, [ctx.constant(1), ctx.constant(1)])
-    assert sigma_eval(affine, 0.25, (0.0,)) == pytest.approx(1.5)
+    assert affine.eval(0.25, (0.0,)) == pytest.approx(1.5)
 
 
 def test_sigma_eval_rejects_nonpositive_T():
@@ -243,15 +243,28 @@ def test_sigma_of_exact_rational_root():
     assert isinstance(s.sigma_of(F(1, 3)), float)  # no exact square root
 
 
-def test_operation_wrappers():
-    from singwave.series import sigma_arith, xs_arith, xs_partial, xs_reciprocal
+def test_exact_int_root_of_400_digit_integers():
+    root = 10**200 - 3
+    square = root**2
+    assert len(str(square)) == 400
+    assert _exact_int_root(square, 2) == root
+    assert _exact_int_root(square + 1, 2) is None  # 400 digits, not a square
+    assert _exact_int_root(10**400, 2) == 10**200
+    cube = (10**133 + 1) ** 3
+    assert _exact_int_root(cube, 3) == 10**133 + 1
+    assert _exact_int_root(cube - 1, 3) is None
+    assert [_exact_int_root(v, 3) for v in (0, 1, 8, 9, -8)] == [0, 1, 2, None, None]
+    s = SigmaSeries("s", 2, 2, ctx_rational(1, 2), [ctx_rational(1, 2).constant(F(1))])
+    assert s.sigma_of(F(1, 10**400)) == F(1, 10**200)
 
+
+def test_core_operations():
     ctx = ctx_rational(1, 3)
     x = ctx.variable(0)
-    assert xs_arith(x, x, "mul") == x**2
-    assert xs_arith(x, x, "sub").is_zero()
-    assert xs_reciprocal(ctx.constant(F(4))) == ctx.constant(F(1, 4))
-    assert xs_partial(x**3, 0) == x**2 * 3
+    assert x * x == x**2
+    assert (x - x).is_zero()
+    assert ctx.constant(F(4)).reciprocal() == ctx.constant(F(1, 4))
+    assert (x**3).partial(0) == x**2 * 3
     s = SigmaSeries.from_xseries(ctx.constant(F(2)), "T", 1, 3)
-    assert sigma_arith(s, s, "mul").coeff(0) == ctx.constant(F(4))
-    assert sigma_arith(s, None, "shift_by_power", j=2).coeff(2) == ctx.constant(F(2))
+    assert (s * s).coeff(0) == ctx.constant(F(4))
+    assert s.shift(2).coeff(2) == ctx.constant(F(2))

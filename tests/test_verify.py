@@ -253,3 +253,37 @@ def test_csv_writer(tmp_path):
         rows = list(csv.reader(handle))
     assert rows[0] == ["T", "x1", "residual", "u", "du_dt"]
     assert len(rows) == 31
+
+
+def test_numeric_samples_equal_per_sample_evaluation_bitwise():
+    # the sampler evaluates each x-polynomial once per grid point; redoing
+    # every sample from eval_at_sigma must give the same floats
+    ctx = SeriesContext(2, (0.0, 0.0), 3)
+    a = 2.0
+    f = dalembert_f(ctx, a)
+    psi = ctx.variable(0) * 0.3 + ctx.from_coeffs({(0, 2): 0.1, (1, 1): -0.05})
+    v0 = ctx.constant(0.7) + ctx.variable(1) * 0.2
+    sol = _solve(build_log_reduction(f, make_hypersurface(psi), a, K=6), v0, 6, f)
+    report = numeric_residual(sol, f)
+    assert len(report.samples) == 30
+    v, surface = sol.v, sol.surface
+    vT = v.deriv_sigma()
+    vTT = vT.deriv_sigma()
+    for T, x, residual, u, du_dt in report.samples:
+        sigma = v.sigma_of(T)
+        grad = [surface.partial(i).eval(x) for i in range(2)]
+        lap = sum((surface.partial(i).partial(i).eval(x) for i in range(2)), 0.0)
+        u_t = -a / T + vT.eval_at_sigma(sigma, x)
+        u_tt = a / (T * T) + vTT.eval_at_sigma(sigma, x)
+        u_xis = [a * g / T - g * vT.eval_at_sigma(sigma, x)
+                 + v.partial_x(i).eval_at_sigma(sigma, x) for i, g in enumerate(grad)]
+        sum_sq = sum((g * g for g in grad), 0 * T)
+        lap_t = a * sum_sq / (T * T) + a * lap / T + sum_sq * vTT.eval_at_sigma(sigma, x) \
+            - lap * vT.eval_at_sigma(sigma, x)
+        for i, g in enumerate(grad):
+            lap_t = lap_t - 2 * g * vT.partial_x(i).eval_at_sigma(sigma, x) \
+                + v.partial_x(i).partial_x(i).eval_at_sigma(sigma, x)
+        f_val = f.eval_numeric(surface.eval(x) + T, x, u_t, u_xis)
+        assert residual == u_tt + -1 * lap_t - f_val
+        assert u == -a * math.log(T) + v.eval_at_sigma(sigma, x)
+        assert du_dt == u_t
