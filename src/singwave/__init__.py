@@ -22,7 +22,7 @@ from .errors import (
     TriangularityError,
     VanishingDivisorError,
 )
-from .fuchsian import RecursionSpec, assemble_solution, shift_initial_data, solve_recursion
+from .fuchsian import RecursionSpec, assemble_solution, solve_recursion
 from .geometry import (
     Hypersurface,
     check_higher_conditions,
@@ -95,7 +95,6 @@ __all__ = [
     "monomial",
     "numeric_residual",
     "rational_grid",
-    "shift_initial_data",
     "solve_pseudo_eikonal",
     "solve_recursion",
     "symbolic_residual",

@@ -41,6 +41,7 @@ from .geometry import (
     make_hypersurface,
     residual_is_zero,
     solve_pseudo_eikonal,
+    worst_coefficient,
 )
 from .problem import (
     ProblemSpec,
@@ -214,8 +215,7 @@ def _condition_report(problem: ProblemSpec, surface) -> dict:
         elif not residual_is_zero(residual, problem.a):
             report["reason"] = "pseudo-eikonal residual nonzero"
     elif not report["ok"]:
-        worst = max(residual.coeffs.items(), key=lambda kv: abs(float(kv[1])))
-        report["reason"] = f"condition residual = {worst[1]} at exponent {list(worst[0])}"
+        report["reason"] = f"condition residual = {worst_coefficient(residual)}"
     return report
 
 
@@ -239,16 +239,14 @@ def _solve(problem: ProblemSpec, surface):
 
 
 def _grid(problem: ProblemSpec, sol, args) -> GridSpec:
-    options = dict(problem.verify_options) if problem else {}
+    options, rational = problem.verify_options, problem.rational
     flag = getattr(args, "grid", None)
     ctx = sol.surface.ctx
     if flag and flag != "default":
-        t_values = tuple(parse_number(v.strip(), problem.rational if problem else False)
-                         for v in flag.split(","))
+        t_values = tuple(parse_number(v.strip(), rational) for v in flag.split(","))
         return GridSpec(t_values, (tuple(ctx.base_point),))
     if flag == "default" or not options:
         return default_grid(ctx)
-    rational = problem.rational if problem else False
     if "t_values" in options:
         t_values = tuple(parse_number(v, rational) for v in options["t_values"])
     elif "t_exponents" in options:
@@ -270,7 +268,7 @@ def _verification(problem: ProblemSpec, sol, args, out_dir: Path):
     summary = fit_summary(report)
     (out_dir / "fit_summary.json").write_text(json.dumps(summary, indent=2))
 
-    options = problem.verify_options if problem else {}
+    options = problem.verify_options
     tol_symbolic = options.get("tol_symbolic", DEFAULT_TOL_SYMBOLIC)
     tol_numeric = options.get("tol_numeric")
     failures = []

@@ -15,6 +15,7 @@ from .reduction import (
     REGIME_FRACTIONAL,
     ReducedEquation,
     SingularSolution,
+    SliceEvaluator,
 )
 from .series import SigmaSeries, XSeries, _inv_scalar
 
@@ -25,9 +26,9 @@ DEFAULT_ORDER = 8
 class RecursionSpec:
     """A reduced equation plus the data that selects one solution:
     the trace v0 on the surface (log family only) and the truncation
-    order K.  The number of XSeries products per solve grows about as
-    K^2.25 and rational wall time about as K^3 (coefficient sizes grow
-    with K too); each product visits at most C(2n+D, D) term pairs."""
+    order K.  A solve makes O(K^2) XSeries products (235 at K=10 and 675
+    at K=20 for n=1, D=4), and its rational wall time grows about as K^2
+    there; each product visits at most C(2n+D, D) term pairs."""
 
     equation: ReducedEquation
     v0: XSeries | None = None
@@ -52,57 +53,20 @@ class RecursionSpec:
                 raise VanishingDivisorError(f"recursion divisor vanishes at k={k}")
 
 
-def shift_initial_data(spec: RecursionSpec) -> RecursionSpec:
-    """Equivalent spec with zero trace: substituting v = v0 + w folds the
-    trace into the evaluator, so solving the shifted spec for w and
-    adding v0 back solves the original."""
-    if spec.equation.regime == REGIME_FRACTIONAL:
-        raise InputError("only the logarithmic family carries a trace")
-    if spec.v0.is_zero():
-        return spec
-    v0 = spec.v0
-    inner = spec.equation
-
-    class _Shifted:
-        regime = inner.regime
-        first_index = inner.first_index
-        max_order = inner.max_order
-        xctx = inner.xctx
-
-        @staticmethod
-        def divisor(k):
-            return inner.divisor(k)
-
-        @staticmethod
-        def rhs_slice(known):
-            if not known:
-                return inner.rhs_slice(known)
-            return inner.rhs_slice([v0 + known[0]] + list(known[1:]))
-
-    return RecursionSpec(equation=_Shifted(), v0=inner.xctx.zero(), K=spec.K)
-
-
 def solve_recursion(spec: RecursionSpec) -> SigmaSeries:
-    """All coefficients of v through order K.
+    """All coefficients of v through order K, in one pass of the
+    equation's online evaluator over the growing list of solved
+    coefficients.
 
     Logarithmic family: v_0 is the trace, v_k = rhs_slice(v_0..v_{k-1}) / (k(k+1)).
     Fractional regime:  v_k = rhs_slice(v_0..v_{k-1}) / ((k+m)(k+m+1)), from k = 0.
     """
     eq = spec.equation
-    if eq.regime == REGIME_FRACTIONAL:
-        coeffs: list[XSeries] = []
-        for k in range(spec.K + 1):
-            num = eq.rhs_slice(coeffs)
-            coeffs.append(num * _inv_scalar(eq.divisor(k)))
-        return SigmaSeries("s", eq.m, spec.K, eq.xctx, coeffs)
-
-    shifted = shift_initial_data(spec)
-    coeffs = [shifted.v0]
-    for k in range(1, spec.K + 1):
-        num = shifted.equation.rhs_slice(coeffs)
-        coeffs.append(num * _inv_scalar(shifted.equation.divisor(k)))
-    coeffs[0] = spec.v0
-    return SigmaSeries("T", 1, spec.K, eq.xctx, coeffs)
+    coeffs: list[XSeries] = [] if eq.regime == REGIME_FRACTIONAL else [spec.v0]
+    evaluator = SliceEvaluator(eq, coeffs)
+    for k in range(eq.first_index, spec.K + 1):
+        coeffs.append(evaluator.numerator() * _inv_scalar(eq.divisor(k)))
+    return SigmaSeries(eq.sigma_kind, eq.m, spec.K, eq.xctx, coeffs)
 
 
 def assemble_solution(spec: RecursionSpec, v: SigmaSeries,

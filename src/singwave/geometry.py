@@ -70,15 +70,18 @@ def make_hypersurface(psi: XSeries) -> Hypersurface:
     return Hypersurface(psi, grad, lap, Psi)
 
 
-def series_all_exact(xs: XSeries) -> bool:
-    return all(_is_exact(c) for c in xs.coeffs.values())
-
-
 def residual_is_zero(residual: XSeries, *extra_exact) -> bool:
     """Zero test honoring the arithmetic mode: exact when every datum is
     int/Fraction, |coeff| <= 1e-10 otherwise."""
-    exact = series_all_exact(residual) and all(_is_exact(v) for v in extra_exact)
+    exact = all(_is_exact(v) for v in (*residual.coeffs.values(), *extra_exact))
     return residual.is_zero(0.0 if exact else FLOAT_ZERO_TOL)
+
+
+def worst_coefficient(residual: XSeries) -> str:
+    """'<value> at exponent <exponent>' for the coefficient of largest
+    magnitude (the first in graded-lex order among equals)."""
+    exponent, value = max(residual.coeffs.items(), key=lambda kv: abs(float(kv[1])))
+    return f"{value} at exponent {list(exponent)}"
 
 
 # ----------------------------------------------------------------------
@@ -94,7 +97,7 @@ def check_pseudo_eikonal(h: Hypersurface, f: Nonlinearity, a) -> XSeries:
     """
     if a == 0:
         raise InputError("the blowup coefficient a must be nonzero")
-    return h.Psi - f.eval_part_on_sigma(2, h.psi) * a
+    return h.Psi - f.part_on_surface(2, h.psi) * a
 
 
 def check_higher_conditions(h: Hypersurface, f: Nonlinearity, a, m: int) -> tuple:
@@ -112,8 +115,8 @@ def check_higher_conditions(h: Hypersurface, f: Nonlinearity, a, m: int) -> tupl
     if f.m != m:
         raise InputError(f"nonlinearity has top degree {f.m + 1}, expected {m + 1}")
     factor = ((-m + 1) ** m) * a**m * _inv_scalar(m ** (m - 1))
-    residual_top = h.Psi - f.eval_part_on_sigma(m + 1, h.psi) * factor
-    residual_m = f.eval_part_on_sigma(m, h.psi)
+    residual_top = h.Psi - f.part_on_surface(m + 1, h.psi) * factor
+    residual_m = f.part_on_surface(m, h.psi)
     return residual_top, residual_m
 
 
@@ -127,14 +130,6 @@ def check_time_reversal(f: Nonlinearity) -> bool:
 # ----------------------------------------------------------------------
 # constructing psi from (f_2, a)
 # ----------------------------------------------------------------------
-
-
-def _pseudo_eikonal_residual(psi: XSeries, f: Nonlinearity, a) -> XSeries:
-    Psi = psi.ctx.constant(1)
-    for i in range(psi.n):
-        g = psi.partial(i)
-        Psi = Psi - g * g
-    return Psi - f.eval_part_on_sigma(2, psi) * a
 
 
 def solve_pseudo_eikonal(f: Nonlinearity, a, init: XSeries, branch) -> XSeries:
@@ -186,12 +181,8 @@ def solve_pseudo_eikonal(f: Nonlinearity, a, init: XSeries, branch) -> XSeries:
         # identically satisfied (e.g. f_2 = (tau^2 - |xi|^2)/a), in which
         # case the initial guess already solves it order by order
         candidate = XSeries(ctx, coeffs)
-        residual = _pseudo_eikonal_residual(candidate, f, a)
+        residual = check_pseudo_eikonal(make_hypersurface(candidate), f, a)
         if residual_is_zero(residual.up_to_reliable(), a):
-            if abs(1 - sum(float(t) ** 2 for t in tangential[1:]) - float(root) ** 2) < 1e-12:
-                raise CharacteristicSurfaceError(
-                    "the chosen slope makes the surface characteristic"
-                )
             return candidate
         raise BranchSelectionError("double root for the transverse slope; no simple branch")
     inv_pivot = _inv_scalar(pivot)
@@ -202,8 +193,7 @@ def solve_pseudo_eikonal(f: Nonlinearity, a, init: XSeries, branch) -> XSeries:
         # psi coefficients at degree r+1 with x0-degree beta1 + 1; lower
         # beta1 batches feed the later ones, hence the recomputation of G
         for beta1 in range(r + 1):
-            psi = XSeries(ctx, coeffs)
-            G = _pseudo_eikonal_residual(psi, f, a)
+            G = check_pseudo_eikonal(make_hypersurface(XSeries(ctx, coeffs)), f, a)
             for beta in ctx.exponents_of_degree(r):
                 if beta[0] != beta1:
                     continue

@@ -43,29 +43,19 @@ def tpoly_normalize(coeff, ctx: SeriesContext) -> tuple:
     return (ctx.constant(coeff),)
 
 
-def tpoly_diff_t(a: Sequence[XSeries]) -> tuple:
-    return tuple(c * d for d, c in enumerate(a) if d >= 1)
-
-
-def tpoly_diff_x(a: Sequence[XSeries], i: int) -> tuple:
-    return tuple(c.partial(i) for c in a)
-
-
-def tpoly_on_sigma(a: Sequence[XSeries], psi: XSeries, kind: str, m: int,
-                   max_order: int) -> SigmaSeries:
-    """Re-expand a t-poly around t = psi(x) + sigma^m as a sigma series."""
-    ctx = psi.ctx
-    t_series = SigmaSeries.from_xseries(psi, kind, m, max_order) + SigmaSeries(
-        kind, m, max_order, ctx, [ctx.zero()] * m + [ctx.constant(1)]
-    )
-    out = SigmaSeries.zeros(kind, m, max_order, ctx)
-    power = SigmaSeries.from_xseries(ctx.constant(1), kind, m, max_order)
+def tpoly_at(a: Sequence[XSeries], powers: list):
+    """sum_d t^d * a[d] with t^d read from ``powers`` ([1, t, ...] in the
+    arithmetic of t: XSeries or SigmaSeries), which grows by the powers
+    the sum needs, so one list serves many t-polys.  None when the sum
+    vanishes."""
+    out = None
     for d, c in enumerate(a):
-        if d > 0:
-            power = power * t_series
         if not c.is_zero():
-            out = out + power * c
-    return out
+            while len(powers) <= d:
+                powers.append(powers[-1] * powers[1])
+            term = powers[d] * c
+            out = term if out is None else out + term
+    return None if out is None or out.is_zero() else out
 
 
 # ----------------------------------------------------------------------
@@ -156,99 +146,59 @@ class Nonlinearity:
     def part(self, l: int) -> tuple:
         return self.parts[l]
 
-    # -- restriction to the surface ---------------------------------------
+    # -- f on series ---------------------------------------------------------
 
-    def eval_part_on_sigma(self, l: int, psi: XSeries) -> XSeries:
+    def coefficients_at(self, powers: list, parts) -> dict:
+        """The coefficient c(t, x) of every monomial of the given parts at
+        the t whose powers ``powers`` starts (see ``tpoly_at``), as
+        {part: tuple indexed like that part}; None where one vanishes."""
+        return {l: tuple(tpoly_at(mono.coeff, powers) for mono in self.parts[l]) for l in parts}
+
+    def on_series(self, coeffs: dict, tau, xi) -> dict:
+        """f_l(t, x; tau, xi) for every part l of ``coeffs`` (from
+        ``coefficients_at``), in any arithmetic with + and *: XSeries,
+        SigmaSeries or the online series of the reduction.  Each power of
+        tau and xi is formed once, as (base^(p-1)) * base, and shared by
+        all parts.  None for a part that vanishes."""
+        powers: dict = {}
+
+        def power(key, base, p):
+            cache = powers.setdefault(key, [None, base])
+            while len(cache) <= p:
+                cache.append(cache[-1] * base)
+            return cache[p]
+
+        out = {}
+        for l, part_coeffs in coeffs.items():
+            total = None
+            for mono, term in zip(self.parts[l], part_coeffs):
+                if term is None:
+                    continue
+                if mono.tau_power:
+                    term = term * power("tau", tau, mono.tau_power)
+                for i, p in enumerate(mono.xi_powers):
+                    if p:
+                        term = term * power(i, xi[i], p)
+                total = term if total is None else total + term
+            out[l] = total
+        return out
+
+    def part_on_surface(self, l: int, psi: XSeries) -> XSeries:
         """f_l(psi(x), x; -1, grad psi(x)) as an XSeries."""
         if psi.ctx != self.xctx:
             raise CompatibilityError("psi over a different series context")
-        grad = [psi.partial(i) for i in range(self.n)]
-        out = psi.ctx.zero()
-        psi_pows = {0: psi.ctx.constant(1)}
-
-        def ppow(base_cache, base, k):
-            if k not in base_cache:
-                base_cache[k] = ppow(base_cache, base, k - 1) * base
-            return base_cache[k]
-
-        grad_pows = [{0: psi.ctx.constant(1)} for _ in range(self.n)]
-        for mono in self.parts[l]:
-            c = psi.ctx.zero()
-            for d, cd in enumerate(mono.coeff):
-                if not cd.is_zero():
-                    c = c + cd * ppow(psi_pows, psi, d)
-            if c.is_zero():
-                continue
-            sign = -1 if mono.tau_power % 2 else 1
-            term = c * sign
-            for i, p in enumerate(mono.xi_powers):
-                if p:
-                    term = term * ppow(grad_pows[i], grad[i], p)
-            out = out + term
-        return out
-
-    def split_remainder(self, l: int, psi: XSeries, K: int) -> tuple:
-        """Split f_l(t, x; -1, grad psi) at t = psi + T into the on-surface
-        value and the quotient-by-T remainder.
-
-        Returns (on_sigma, tilde) with
-        f_l(t, x; -1, grad psi) = on_sigma + T * tilde.
-        """
-        full = self._part_on_surface_jet(l, psi, "T", 1, K + 1)
-        on_sigma = full.coeff(0)
-        tilde = SigmaSeries("T", 1, K, psi.ctx, [full.coeff(k + 1) for k in range(K + 1)])
-        return on_sigma, tilde
-
-    def _part_on_surface_jet(self, l: int, psi: XSeries, kind: str, m: int,
-                             max_order: int) -> SigmaSeries:
-        """f_l(psi + sigma^m, x; -1, grad psi) as a sigma series."""
-        ctx = psi.ctx
-        grad = [psi.partial(i) for i in range(self.n)]
-        out = SigmaSeries.zeros(kind, m, max_order, ctx)
-        for mono in self.parts[l]:
-            c_sigma = tpoly_on_sigma(mono.coeff, psi, kind, m, max_order)
-            factor = ctx.constant(-1 if mono.tau_power % 2 else 1)
-            for i, p in enumerate(mono.xi_powers):
-                for _ in range(p):
-                    factor = factor * grad[i]
-            out = out + c_sigma * factor
-        return out
-
-    # -- jet evaluation ------------------------------------------------------
+        coeffs = self.coefficients_at([psi.ctx.constant(1), psi], (l,))
+        value = self.on_series(coeffs, -1, [psi.partial(i) for i in range(self.n)])[l]
+        return psi.ctx.zero() if value is None else value
 
     def eval_on_jet(self, t_series: SigmaSeries, tau_series: SigmaSeries,
                     xi_series: Sequence[SigmaSeries], part: int | None = None) -> SigmaSeries:
         """Evaluate f (or the single part ``part``) on series arguments."""
         parts = range(self.m + 2) if part is None else (part,)
-        first = tau_series
-        zero = SigmaSeries.zeros(first.kind, first.m, first.max_order, self.xctx)
-        one = SigmaSeries.from_xseries(self.xctx.constant(1), first.kind, first.m,
-                                       first.max_order)
-        t_pows = [one]
-        tau_pows = [one]
-        xi_pows = [[one] for _ in range(self.n)]
-
-        def grow(cache, base, k):
-            while len(cache) <= k:
-                cache.append(cache[-1] * base)
-            return cache[k]
-
-        out = zero
-        for l in parts:
-            for mono in self.parts[l]:
-                term = zero
-                for d, cd in enumerate(mono.coeff):
-                    if not cd.is_zero():
-                        term = term + grow(t_pows, t_series, d) * cd
-                if term.is_zero():
-                    continue
-                if mono.tau_power:
-                    term = term * grow(tau_pows, tau_series, mono.tau_power)
-                for i, p in enumerate(mono.xi_powers):
-                    if p:
-                        term = term * grow(xi_pows[i], xi_series[i], p)
-                out = out + term
-        return out
+        zero = SigmaSeries.zeros(t_series.kind, t_series.m, t_series.max_order, self.xctx)
+        values = self.on_series(self.coefficients_at([zero + 1, t_series], parts), tau_series,
+                                xi_series)
+        return sum((value for value in values.values() if value is not None), zero)
 
     def eval_part_on_jet(self, l: int, t_series, tau_series, xi_series) -> SigmaSeries:
         return self.eval_on_jet(t_series, tau_series, xi_series, part=l)

@@ -14,8 +14,8 @@ A problem file is a JSON document:
       "psi": {"coeffs": [[[1,0], 0.3], ...]}
              or {"solve": {"init": [[[0,1], 0.25]], "branch": "+"}},
       "v0": [[[0,0], 7]],
-      "verify": {"t_values": [...], "x_offsets": [[...]],
-                 "through_order": 4, "tol_symbolic": 1e-8, "tol_numeric": null}
+      "verify": {"t_values": [...] or "t_exponents": [...], "x_offsets": [[...]],
+                 "radius": 0.2, "points": 5, "tol_symbolic": 1e-8, "tol_numeric": null}
     }
 
 A monomial "coeff" is a number (constant), a term list (x-dependence
@@ -54,6 +54,10 @@ MODES = (REGIME_LOG, REGIME_FRACTIONAL, REGIME_ELLIPTIC, REGIME_NEGATIVE)
 
 SOLUTION_FORMAT = "singwave-solution-v1"
 
+#: the keys of a problem's "verify" object
+VERIFY_OPTIONS = ("t_values", "t_exponents", "x_offsets", "radius", "points", "tol_symbolic",
+                  "tol_numeric")
+
 
 # ----------------------------------------------------------------------
 # numbers
@@ -78,7 +82,7 @@ def parse_number(raw, rational: bool):
         if isinstance(raw, float):
             # str() round-trips the intended decimal, not the binary float
             return Fraction(str(raw)) if rational else raw
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"cannot parse number {raw!r}: {exc}") from None
     raise SchemaError(f"cannot parse number {raw!r}")
 
@@ -190,6 +194,13 @@ def _require(data: dict, key: str, what: str = "problem"):
     return data[key]
 
 
+def _require_int(data: dict, key: str, low: int, what: str) -> int:
+    value = _require(data, key, what)
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise SchemaError(f"{what}: {key} must be an integer >= {low}, got {value!r}")
+    return value
+
+
 def parse_problem(data: dict, order_override: int | None = None,
                   arithmetic_override: str | None = None) -> ProblemSpec:
     if not isinstance(data, dict):
@@ -198,9 +209,8 @@ def parse_problem(data: dict, order_override: int | None = None,
     mode = _require(data, "mode")
     if mode not in MODES:
         raise SchemaError(f"mode must be one of {MODES}, got {mode!r}")
-    n = _require(data, "n")
-    if not isinstance(n, int) or n < 1:
-        raise SchemaError(f"n must be a positive integer, got {n!r}")
+    # the elliptic series live over the n - 1 tangential variables
+    n = _require_int(data, "n", 2 if mode == REGIME_ELLIPTIC else 1, "problem")
 
     arithmetic = arithmetic_override or data.get("arithmetic", "float")
     if arithmetic not in ("float", "rational"):
@@ -215,12 +225,7 @@ def parse_problem(data: dict, order_override: int | None = None,
     if not isinstance(D, int) or D < 0 or not isinstance(K, int) or K < 0:
         raise SchemaError(f"truncation degrees must be non-negative integers, got D={D}, K={K}")
 
-    m = data.get("m", 1)
-    if mode == REGIME_FRACTIONAL:
-        if not isinstance(m, int) or m < 2:
-            raise SchemaError("fractional mode requires integer m >= 2")
-    else:
-        m = 1
+    m = _require_int(data, "m", 2, "fractional problem") if mode == REGIME_FRACTIONAL else 1
 
     a = parse_number(_require(data, "a"), rational)
     if a == 0:
@@ -231,10 +236,7 @@ def parse_problem(data: dict, order_override: int | None = None,
         raise SchemaError(f"base_point must list {n} coordinates")
     base_point = tuple(parse_number(b, rational) for b in base_raw)
 
-    # the elliptic series live over the tangential variables only
     series_n = n - 1 if mode == REGIME_ELLIPTIC else n
-    if mode == REGIME_ELLIPTIC and n < 2:
-        raise SchemaError("elliptic mode needs n >= 2 (one transverse + tangentials)")
     series_base = base_point[1:] if mode == REGIME_ELLIPTIC else base_point
     ctx = SeriesContext(series_n, series_base, D)
 
@@ -290,12 +292,26 @@ def parse_problem(data: dict, order_override: int | None = None,
     verify_options = data.get("verify", {})
     if not isinstance(verify_options, dict):
         raise SchemaError("verify must be an object")
+    for key in verify_options:
+        if key not in VERIFY_OPTIONS:
+            raise SchemaError(f"verify.{key} is not an option; use {', '.join(VERIFY_OPTIONS)}")
     for key, types in (("radius", (int, float)), ("points", int), ("tol_symbolic", (int, float)),
-                       ("tol_numeric", (int, float, type(None)))):
-        value = verify_options.get(key, 0)
+                       ("tol_numeric", (int, float, type(None))), ("t_values", list),
+                       ("t_exponents", list), ("x_offsets", list)):
+        value = verify_options.get(key, [] if types is list else 0)
         if isinstance(value, bool) or not isinstance(value, types):
-            kind = "an integer" if types is int else "a number"
+            kind = {int: "an integer", list: "a list"}.get(types, "a number")
             raise SchemaError(f"verify.{key} must be {kind}, got {value!r}")
+    for e in verify_options.get("t_exponents", []):
+        if isinstance(e, bool) or not isinstance(e, (int, float)):
+            raise SchemaError(f"verify.t_exponents must list numbers, got {e!r}")
+    for row in verify_options.get("x_offsets", []):
+        if not isinstance(row, list) or len(row) != series_n:
+            raise SchemaError(f"verify.x_offsets rows must list {series_n} numbers, got {row!r}")
+        for value in row:
+            parse_number(value, rational)
+    for value in verify_options.get("t_values", []):
+        parse_number(value, rational)
 
     return ProblemSpec(
         n=n, mode=mode, m=m, a=a, base_point=base_point, D=D, K=K,
@@ -341,18 +357,25 @@ def solution_to_dict(sol: SingularSolution, problem: ProblemSpec) -> dict:
 
 def solution_from_dict(data: dict) -> tuple:
     """Rebuild (solution, rational_flag).  The nonlinearity is not stored;
-    attach it from the problem file when verifying."""
+    attach it from the problem file when verifying.  Raises only
+    SchemaError on a malformed document."""
     if not isinstance(data, dict) or data.get("format") != SOLUTION_FORMAT:
         raise SchemaError(f"not a {SOLUTION_FORMAT} document")
     regime = data.get("regime")
     if regime not in MODES:
         raise SchemaError(f"bad regime {regime!r}")
     rational = data.get("arithmetic") == "rational"
-    n = data["n"]
-    m = data["m"]
-    base_point = tuple(parse_number(b, rational) for b in data["base_point"])
-    D = data["truncation"]["D"]
-    K = data["truncation"]["K"]
+    n = _require_int(data, "n", 2 if regime == REGIME_ELLIPTIC else 1, "solution")
+    m = _require_int(data, "m", 2 if regime == REGIME_FRACTIONAL else 1, "solution")
+    base_raw = _require(data, "base_point", "solution")
+    if not isinstance(base_raw, list) or len(base_raw) != n:
+        raise SchemaError(f"solution: base_point must list {n} coordinates")
+    base_point = tuple(parse_number(b, rational) for b in base_raw)
+    trunc = _require(data, "truncation", "solution")
+    if not isinstance(trunc, dict):
+        raise SchemaError("solution: truncation must be an object with D and K")
+    D = _require_int(trunc, "D", 0, "solution truncation")
+    K = _require_int(trunc, "K", 0, "solution truncation")
     series_n = n - 1 if regime == REGIME_ELLIPTIC else n
     series_base = base_point[1:] if regime == REGIME_ELLIPTIC else base_point
     ctx = SeriesContext(series_n, series_base, D)
@@ -360,18 +383,20 @@ def solution_from_dict(data: dict) -> tuple:
     v0 = None
     if data.get("v0") is not None:
         v0 = parse_terms(data["v0"], ctx, rational, "v0")
+    entries = data.get("v", [])
+    if not isinstance(entries, list):
+        raise SchemaError("solution: v must be a list of [order, exponent, value] entries")
     orders: dict = {}
-    for item in data.get("v", []):
-        if not (isinstance(item, list) and len(item) == 3):
+    for item in entries:
+        if not (isinstance(item, list) and len(item) == 3 and isinstance(item[0], int)
+                and not isinstance(item[0], bool) and 0 <= item[0] <= K):
             raise SchemaError(f"bad v entry {item!r}")
-        k, exponent, value = item
-        orders.setdefault(int(k), {})[tuple(int(p) for p in exponent)] = parse_number(
-            value, rational)
-    coeffs = [ctx.from_coeffs(orders.get(k, {})) for k in range(K + 1)]
+        orders.setdefault(item[0], []).append(item[1:])
+    coeffs = [parse_terms(orders.get(k, []), ctx, rational, f"v[{k}]") for k in range(K + 1)]
     kind = "s" if regime == REGIME_FRACTIONAL else "T"
     v = SigmaSeries(kind, m if regime == REGIME_FRACTIONAL else 1, K, ctx, coeffs)
-    sol = SingularSolution(regime=regime, a=parse_number(data["a"], rational), m=m,
-                           surface=surface, v=v, v0=v0)
+    sol = SingularSolution(regime=regime, a=parse_number(_require(data, "a", "solution"), rational),
+                           m=m, surface=surface, v=v, v0=v0)
     return sol, rational
 
 

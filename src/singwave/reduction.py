@@ -1,4 +1,4 @@
-"""Coordinate transform and reduced slice-evaluator equations.
+"""Coordinate transform and the reduced equations, evaluated online.
 
 In the frame T = t - psi(x), X = x the wave operator takes the form
 
@@ -11,31 +11,26 @@ form with principal coefficient 1 + |grad' phi|^2, cross terms
 
 Substituting the singular ansatz and cancelling the leading pole (which
 is exactly the compatibility condition checked by the geometry module)
-leaves an equation solvable order by order in sigma: each slice
-determines one coefficient of the regular part v through an invertible
-integer divisor, k(k+1) in the logarithmic regimes and (k+m)(k+m+1) in
-the fractional regime.
+leaves an equation solvable order by order in sigma: slice k fixes
+coefficient k of the regular part v from the lower ones through an
+invertible integer divisor, k(k+1) in the logarithmic regimes and
+(k+m)(k+m+1) in the fractional regime.
 
-A ``ReducedEquation`` is an evaluator, not a stored operator catalogue:
-``rhs_slice(known)`` assembles the full equation functional with the
-next unknown coefficient zeroed and returns the numerator of that
-coefficient.  Strict lower-triangularity holds by construction, because
-the evaluator receives only the already-determined coefficients.
-
-For the nonlinear side the evaluator uses the homogeneity shift
-
-    f_l(jets) = sigma^(-l) * f_l(sigma * jets),
-
-which keeps every intermediate series pole-free: sigma * u_t and
-sigma * grad u are regular.  The leading slices produced this way are
-the cancellation certificates; they are checked to vanish when the
-equation is built and stored for inspection.
+``SliceEvaluator`` runs that recursion in one forward pass.  The jets
+sigma u_t and sigma grad u (pole-free by the homogeneity shift
+f_l(jets) = sigma^(-l) f_l(sigma jets)), their powers, and f on them are
+online series: each coefficient is formed once, when every coefficient
+of v it reads is solved.  ``ReducedEquation.rhs_slice(known)`` runs the
+same evaluator over ``known``, so lower triangularity holds by
+construction.  The leading slice is the cancellation certificate, checked
+to vanish when the equation is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 from .errors import (
@@ -52,6 +47,7 @@ from .geometry import (
     check_time_reversal,
     make_hypersurface,
     residual_is_zero,
+    worst_coefficient,
 )
 from .nonlinearity import Nonlinearity, monomial
 from .series import SeriesContext, SigmaSeries, XSeries, _inv_scalar
@@ -64,11 +60,8 @@ REGIME_NEGATIVE = "negative_side"
 
 @dataclass(frozen=True)
 class TransformedOperator:
-    """The second-order operator in the (T, X) frame.
-
-    Applying it to a regular sigma series (kind T) gives
-    coeff_TT * w_TT + sum_i coeff_iT[i] * w_T,i + coeff_T * w_T
-    + laplacian_sign * lap_X w.
+    """The second-order operator in the (T, X) frame:
+    coeff_TT dTT + sum_i coeff_iT[i] dXi dT + coeff_T dT + laplacian_sign lap_X.
     """
 
     coeff_TT: XSeries
@@ -77,43 +70,39 @@ class TransformedOperator:
     laplacian_sign: int
     grad: tuple  # gradient of the surface function; drives the jet substitution
 
-    def apply(self, w: SigmaSeries) -> SigmaSeries:
-        wT = w.deriv_sigma()
-        wTT = wT.deriv_sigma()
-        out = wTT * self.coeff_TT
-        for i, c in enumerate(self.coeff_iT):
-            out = out + wT.partial_x(i) * c
-        out = out + wT * self.coeff_T
-        lap = None
-        for i in range(len(self.coeff_iT)):
-            term = w.partial_x(i).partial_x(i)
-            lap = term if lap is None else lap + term
-        if lap is not None:
-            out = out + lap * self.laplacian_sign
-        return out
+    def apply_slice(self, w, j: int, m: int) -> XSeries | None:
+        """Slice j of m^2 s^m box(s^m W) for W = sum_i w(i) s^i, s = T^(1/m):
+
+            j(j+m) coeff_TT w_j + m j (sum_i coeff_iT[i] dXi w_{j-m}
+            + coeff_T w_{j-m}) + m^2 laplacian_sign lap_X w_{j-2m}.
+
+        ``w(i)`` is None for a coefficient that vanishes or is not yet
+        known, which then contributes nothing; None when no term does."""
+        terms = []
+        top, low, lowest = w(j), w(j - m), w(j - 2 * m)
+        if top is not None and j:
+            terms.append(top * (j * (j + m)) * self.coeff_TT)
+        if low is not None and j:
+            terms += [low.partial(i) * (m * j) * c for i, c in enumerate(self.coeff_iT)]
+            terms.append(low * (m * j) * self.coeff_T)
+        if lowest is not None and self.coeff_iT:
+            laps = [lowest.partial(i).partial(i) for i in range(len(self.coeff_iT))]
+            terms.append(sum(laps[1:], laps[0]) * (self.laplacian_sign * m * m))
+        return sum(terms[1:], terms[0]) if terms else None
 
 
 def transform_operator(h: Hypersurface, regime: str) -> TransformedOperator:
-    """Operator coefficients for the given regime.
-
-    Wave regimes read (Psi, 2 psi_i, lap psi, -1) off the hypersurface;
-    the elliptic regime treats h.psi as phi(x') and returns
-    (1 + |grad phi|^2, -2 phi_i, -lap phi, +1).
-    """
-    if regime in (REGIME_LOG, REGIME_FRACTIONAL, REGIME_NEGATIVE):
-        return TransformedOperator(
-            coeff_TT=h.Psi,
-            coeff_iT=tuple(g * 2 for g in h.grad),
-            coeff_T=h.lap,
-            laplacian_sign=-1,
-            grad=h.grad,
-        )
-    if regime == REGIME_ELLIPTIC:
-        return elliptic_operator(h.psi)
-    raise InputError(f"unknown regime {regime!r}")
+    """The wave operator's coefficients (Psi, 2 psi_i, lap psi, -1), read
+    off the hypersurface."""
+    if regime not in (REGIME_LOG, REGIME_FRACTIONAL, REGIME_NEGATIVE):
+        raise InputError(f"no wave operator for the {regime!r} regime")
+    return TransformedOperator(coeff_TT=h.Psi, coeff_iT=tuple(g * 2 for g in h.grad),
+                               coeff_T=h.lap, laplacian_sign=-1, grad=h.grad)
 
 
 def elliptic_operator(phi: XSeries) -> TransformedOperator:
+    """The Laplacian's coefficients (1 + |grad phi|^2, -2 phi_i, -lap phi,
+    +1) in the frame T = x_0 - phi(x')."""
     grad = tuple(phi.partial(i) for i in range(phi.n))
     principal = phi.ctx.constant(1)
     lap = phi.ctx.zero()
@@ -156,26 +145,22 @@ class ReducedEquation:
     surface: XSeries
     principal_inv: XSeries
     certificate: XSeries = field(init=False)
-    inhomogeneous_data: SigmaSeries = field(init=False)
     first_index: int = field(init=False)
+    coefficients: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self.first_index = 0 if self.regime == REGIME_FRACTIONAL else 1
-        self.certificate = self._certificate_slice()
+        # the monomial coefficients at t = psi + sigma^m, v-free; the top
+        # part is read one order beyond max_order
+        kind, m, order, one = self.sigma_kind, self.m, self.max_order + 1, self.xctx.constant(1)
+        t = SigmaSeries(kind, m, order, self.xctx,
+                        [self.surface] + [self.xctx.zero()] * (m - 1) + [one])
+        self.coefficients = self.f.coefficients_at(
+            [SigmaSeries.from_xseries(one, kind, m, order), t], range(m + 2))
+        self.certificate = SliceEvaluator(self, []).certificate()
         if not residual_is_zero(self.certificate, self.a):
-            raise ReductionError(
-                "leading pole fails to cancel; offending coefficient "
-                f"{max(self.certificate.coeffs.items(), key=lambda kv: abs(float(kv[1])))}"
-            )
-        zero_known = [self.xctx.zero()] * self.first_index
-        self.inhomogeneous_data = SigmaSeries(
-            self.sigma_kind, self.m, self.max_order, self.xctx,
-            [self.xctx.zero()] * self.first_index
-            + [self.rhs_slice(zero_known + [self.xctx.zero()] * (k - self.first_index))
-               for k in range(self.first_index, self.max_order + 1)],
-        )
-
-    # -- public contract ---------------------------------------------------
+            raise ReductionError("leading pole fails to cancel: certificate = "
+                                 + worst_coefficient(self.certificate))
 
     def divisor(self, k: int) -> int:
         if self.regime == REGIME_FRACTIONAL:
@@ -192,118 +177,136 @@ class ReducedEquation:
             )
         if k > self.max_order:
             raise InputError(f"order {k} beyond the equation's truncation {self.max_order}")
-        if self.regime == REGIME_FRACTIONAL:
-            return -self._fractional_slices(known, k).coeff(k)
-        return -self._log_slices(known, k).coeff(k - 1)
+        return SliceEvaluator(self, list(known)).numerator()
 
-    # -- logarithmic family --------------------------------------------------
 
-    def _log_jets(self, vbar: SigmaSeries):
-        """Regular jets sigma * u_t and sigma * grad u for the log ansatz."""
-        p = vbar.deriv_sigma()
-        tau = p.shift(1) + self.xctx.constant(-self.a)
-        xi = []
-        for i, g in enumerate(self.operator.grad):
-            q = vbar.partial_x(i) - p * g
-            xi.append(q.shift(1) + g * self.a)
-        t_series = SigmaSeries.from_xseries(self.surface, "T", 1, vbar.max_order) + \
-            SigmaSeries("T", 1, vbar.max_order, self.xctx,
-                        [self.xctx.zero(), self.xctx.constant(1)])
-        return t_series, tau, xi
+class SliceEvaluator:
+    """The reduced equation of ``eq`` over a growing list ``v`` of solved
+    coefficients (v[0] is the trace in the log family); entries of ``v``
+    must not change once appended.
 
-    def _log_slices(self, known: Sequence[XSeries], k: int) -> SigmaSeries:
-        """E = (1/Psi) * (T box u - T f) as a regular series, assembled with
-        coefficient k of v set to zero; slice k-1 carries the equation for
-        coefficient k."""
-        cap = k
-        vbar = SigmaSeries("T", 1, cap, self.xctx, list(known))
-        t_series, tau, xi = self._log_jets(vbar)
-        F = [self.f.eval_part_on_jet(l, t_series, tau, xi) for l in range(3)]
-        op = self.operator
-        E = SigmaSeries.from_xseries(op.coeff_T * (-self.a), "T", 1, cap)
-        E = E + op.apply(vbar).shift(1)
-        # T^-1 slice of T*f cancels against a*Psi (the certificate); the
-        # remaining slices of f_2 shift down by one
-        E = E - SigmaSeries("T", 1, cap, self.xctx,
-                            [F[2].coeff(j + 1) for j in range(cap + 1)])
-        E = E - F[1]
-        E = E - F[0].shift(1)
-        return E * self.principal_inv
+    With w_j = v_{j + first_index} (w_{-1} is the trace) the ansatz is
+    u = u_sing + s^m W, s = T^(1/m), and the jets tau~ = s u_t and
+    xi~ = s grad u have the coefficients
 
-    # -- fractional regime ------------------------------------------------------
+        tau~_0 = tau0,  tau~_j = (j - 1 + m)/m w_{j-1},
+        xi~_j = dX w_{j-m-1} - tau~_j grad psi,
 
-    def _fractional_jets(self, vbar: SigmaSeries):
-        """Regular jets s * u_t and s * grad u for the fractional ansatz
-        u = a T^((m-1)/m) + T v, together with t = psi + s^m."""
-        m = self.m
-        A = vbar.map_indexed(lambda j, c: c * (j + m)).shift(1) + \
-            self.xctx.constant(self.a * (m - 1))
-        tau = A * _inv_scalar(m)
-        xi = []
-        for i, g in enumerate(self.operator.grad):
-            xi.append(vbar.partial_x(i).shift(m + 1) - tau * g)
-        t_series = SigmaSeries.from_xseries(self.surface, "s", m, vbar.max_order) + \
-            SigmaSeries("s", m, vbar.max_order, self.xctx,
-                        [self.xctx.zero()] * m + [self.xctx.constant(1)])
-        return t_series, tau, xi
+    tau0 = -a in the log family (m = 1) and a(m-1)/m in the fractional
+    regime.  With F_l = f_l(t, x; tau~, xi~), slice j of m^2 s^m (box u - f)
+    is apply_slice(w, j) + [j = m-1] m^2 tau0 coeff_T
+    - m^2 (sum_{l <= m} F_l[j-m+l] + F_{m+1}[j+1]), and reads w_j only
+    through j(j+m) Psi w_j: that fixes w_j.  The leading slice,
+    -m tau0 Psi - m^2 F_{m+1}[0], is the certificate.
+    """
 
-    def _fractional_slices(self, known: Sequence[XSeries], k: int) -> SigmaSeries:
-        """E = (1/Psi) * m^2 s^m (box u - f) with coefficient k of v zeroed;
-        slice k carries the equation for coefficient k."""
-        m = self.m
-        cap = k + 1  # the top-degree part contributes from one slice higher
-        vbar = SigmaSeries("s", m, cap, self.xctx, list(known))
-        t_series, tau, xi = self._fractional_jets(vbar)
-        F = [self.f.eval_part_on_jet(l, t_series, tau, xi) for l in range(m + 2)]
-        op = self.operator
+    def __init__(self, eq: ReducedEquation, v: list):
+        self.eq, self.v = eq, v
+        m = eq.m
+        inv_m = _inv_scalar(m)
+        if eq.regime == REGIME_FRACTIONAL:
+            self.tau0, self.pole = eq.a * (m - 1) * inv_m, eq.a * m * (m - 1)
+        else:
+            self.tau0 = self.pole = -eq.a
+        tau0 = eq.xctx.constant(self.tau0)
 
-        # m^2 s^m box u, singular parts cancelled:
-        #   Psi sum_k k(k+m) v_k s^k                      (T dTT + 2 dT block)
-        #   + sum_i 2 psi_i m(m+k) dXi v_k s^(k+m)        (cross block)
-        #   + lap psi (m(m+k) v_k) s^(k+m)                (first-order block)
-        #   - m^2 lap_X v s^(2m)                          (tangential block)
-        #   + a m(m-1) lap psi s^(m-1)                    (from the pole ansatz)
-        E = vbar.map_indexed(lambda j, c: c * (j * (j + m))) * op.coeff_TT
-        for i, c in enumerate(op.coeff_iT):
-            E = E + vbar.partial_x(i).map_indexed(
-                lambda j, ci: ci * (m * (m + j))).shift(m) * c
-        E = E + vbar.map_indexed(lambda j, c: c * (m * (m + j))).shift(m) * op.coeff_T
-        lap = None
-        for i in range(len(op.coeff_iT)):
-            term = vbar.partial_x(i).partial_x(i)
-            lap = term if lap is None else lap + term
-        if lap is not None:
-            E = E + lap.shift(2 * m) * (op.laplacian_sign * m * m)
-        inhom = SigmaSeries.zeros("s", m, cap, self.xctx) + \
-            SigmaSeries("s", m, cap, self.xctx,
-                        [self.xctx.zero()] * (m - 1) + [op.coeff_T * (self.a * m * (m - 1))])
-        E = E + inhom
+        def tau_at(j):
+            if j == 0:
+                return tau0
+            w = self.w(j - 1)
+            return None if w is None else w * (j - 1 + m) * inv_m
 
-        mm = m * m
-        for l in range(m + 1):
-            E = E - F[l].shift(m - l) * mm
-        # the top part enters as s^-1 F_{m+1}: slice 0 is the certificate,
-        # the rest shifts down by one
-        E = E - SigmaSeries("s", m, cap, self.xctx,
-                            [F[m + 1].coeff(j + 1) * mm for j in range(cap + 1)])
-        return E * self.principal_inv
+        def xi_at(i, g, j):
+            t, lower = tau[j], self.w(j - m - 1)
+            out = None if t is None else -(t * g)
+            if lower is not None:
+                out = lower.partial(i) if out is None else lower.partial(i) + out
+            return out
 
-    # -- certificates -----------------------------------------------------------
+        tau = OnlineSeries(self, tau_at, 1)
+        xi = [OnlineSeries(self, partial(xi_at, i, g), 1)
+              for i, g in enumerate(eq.operator.grad)]
+        coeffs = {l: tuple(None if c is None else OnlineSeries(self, c.coeff, None)
+                           for c in part) for l, part in eq.coefficients.items()}
+        self.F = eq.f.on_series(coeffs, tau, xi)
 
-    def _certificate_slice(self) -> XSeries:
-        """The v-independent leading pole coefficient that the compatibility
-        conditions force to vanish: a*Psi - [F_2]_0 in the log family,
-        -a(m-1)*Psi - m^2 [F_{m+1}]_0 in the fractional regime."""
-        if self.regime == REGIME_FRACTIONAL:
-            m = self.m
-            vbar = SigmaSeries.zeros("s", m, 1, self.xctx)
-            t_series, tau, xi = self._fractional_jets(vbar)
-            top = self.f.eval_part_on_jet(m + 1, t_series, tau, xi)
-            return self.operator.coeff_TT * (-self.a * (m - 1)) - top.coeff(0) * (m * m)
-        vbar = SigmaSeries.zeros("T", 1, 1, self.xctx)
-        t_series, tau, xi = self._log_jets(vbar)
-        f2 = self.f.eval_part_on_jet(2, t_series, tau, xi)
-        return self.operator.coeff_TT * self.a - f2.coeff(0)
+    @property
+    def solved(self) -> int:
+        """The number of solved w entries."""
+        return len(self.v) - self.eq.first_index
+
+    def w(self, i: int) -> XSeries | None:
+        """w_i; None when it vanishes or is not solved yet."""
+        i += self.eq.first_index
+        return self.v[i] if 0 <= i < len(self.v) and not self.v[i].is_zero() else None
+
+    def _F(self, l: int, j: int) -> XSeries | None:
+        return None if self.F[l] is None else self.F[l][j]
+
+    def certificate(self) -> XSeries:
+        m = self.eq.m
+        top = self._F(m + 1, 0)
+        out = self.eq.operator.coeff_TT * (-m * self.tau0)
+        return out if top is None else out - top * (m * m)
+
+    def numerator(self) -> XSeries:
+        """Numerator of the next coefficient, v_{len(v)}."""
+        eq, m, j = self.eq, self.eq.m, self.solved
+        E = eq.operator.apply_slice(self.w, j, m) or eq.xctx.zero()
+        if j == m - 1:
+            E = E + eq.operator.coeff_T * self.pole
+        for F in [self._F(l, j - m + l) for l in range(m + 1)] + [self._F(m + 1, j + 1)]:
+            if F is not None:
+                E = E - F * (m * m)
+        return -(E * eq.principal_inv)
+
+
+class OnlineSeries:
+    """A sigma series whose coefficient j is ``fn(j)`` (None for zero),
+    computed from the solved prefix of an evaluator's v.  Coefficient j
+    reads the unknowns through w_{j - lag} at most (lag None: not at all);
+    it is kept once that entry is solved, and before that it is computed
+    afresh on each request, with the unsolved entries taken as zero."""
+
+    __slots__ = ("ev", "fn", "lag", "done")
+
+    def __init__(self, ev: SliceEvaluator, fn, lag: int | None):
+        self.ev, self.fn, self.lag, self.done = ev, fn, lag, []
+
+    def __getitem__(self, j: int) -> XSeries | None:
+        if j < 0:
+            return None
+        done = self.done
+        if j < len(done):
+            return done[j]
+        value = self.fn(j)
+        if value is not None and value.is_zero():
+            value = None
+        if j == len(done) and (self.lag is None or j - self.lag < self.ev.solved):
+            done.append(value)
+        return value
+
+    def _lag(self, other: "OnlineSeries") -> int | None:
+        return min((x.lag for x in (self, other) if x.lag is not None), default=None)
+
+    def __mul__(self, other: "OnlineSeries") -> "OnlineSeries":
+        def fn(j):
+            # the Cauchy sum in the order of SigmaSeries.__mul__
+            acc = None
+            for i in range(j + 1):
+                a = self[i]
+                if a is not None:
+                    b = other[j - i]
+                    if b is not None:
+                        acc = a * b if acc is None else acc + a * b
+            return acc
+        return OnlineSeries(self.ev, fn, self._lag(other))
+
+    def __add__(self, other: "OnlineSeries") -> "OnlineSeries":
+        def fn(j):
+            a, b = self[j], other[j]
+            return b if a is None else a if b is None else a + b
+        return OnlineSeries(self.ev, fn, self._lag(other))
 
 
 # ----------------------------------------------------------------------
@@ -322,10 +325,8 @@ def build_log_reduction(f: Nonlinearity, h: Hypersurface, a, K: int = 8,
         raise InputError("logarithmic regime needs a quadratic nonlinearity (m = 1)")
     residual = check_pseudo_eikonal(h, f, a)
     if not residual_is_zero(residual, a):
-        worst = max(residual.coeffs.items(), key=lambda kv: abs(float(kv[1])))
-        raise ReductionError(
-            f"pseudo-eikonal condition fails: residual coefficient {worst[0]} = {worst[1]}"
-        )
+        raise ReductionError("pseudo-eikonal condition fails: residual = "
+                             + worst_coefficient(residual))
     op = transform_operator(h, regime)
     return ReducedEquation(
         regime=regime, a=a, m=1, sigma_kind="T", xctx=h.psi.ctx, max_order=K,
@@ -339,15 +340,11 @@ def build_fractional_reduction(f: Nonlinearity, h: Hypersurface, a, m: int,
     solved in s = T^(1/m)."""
     residual_top, residual_m = check_higher_conditions(h, f, a, m)
     if not residual_is_zero(residual_top, a):
-        worst = max(residual_top.coeffs.items(), key=lambda kv: abs(float(kv[1])))
-        raise ReductionError(
-            f"top-degree condition fails: residual coefficient {worst[0]} = {worst[1]}"
-        )
+        raise ReductionError("top-degree condition fails: residual = "
+                             + worst_coefficient(residual_top))
     if not residual_is_zero(residual_m, a):
-        worst = max(residual_m.coeffs.items(), key=lambda kv: abs(float(kv[1])))
-        raise ReductionError(
-            f"degree-m restriction must vanish on the surface: coefficient {worst[0]} = {worst[1]}"
-        )
+        raise ReductionError("degree-m restriction must vanish on the surface: residual = "
+                             + worst_coefficient(residual_m))
     op = transform_operator(h, REGIME_FRACTIONAL)
     return ReducedEquation(
         regime=REGIME_FRACTIONAL, a=a, m=m, sigma_kind="s", xctx=h.psi.ctx, max_order=K,

@@ -186,14 +186,11 @@ class SeriesContext:
         coeffs = {e: coeff}
         b = self.base_point[i]
         if b != 0:
-            coeffs[self.zero_exponent()] = coeff * b
+            coeffs[(0,) * self.n] = coeff * b
         return XSeries(self, coeffs)
 
     def from_coeffs(self, coeffs: dict) -> "XSeries":
         return XSeries(self, coeffs)
-
-    def zero_exponent(self) -> Exponent:
-        return (0,) * self.n
 
     def exponents_of_degree(self, d: int) -> Iterable[Exponent]:
         """All exponent tuples of total degree exactly d."""
@@ -537,23 +534,11 @@ class SigmaSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise InputError("powers must be non-negative integers")
-        result = self._coerce(1)
-        for _ in range(k):
-            result = result * self
-        return result
-
     def shift(self, j: int) -> "SigmaSeries":
         """Multiply by sigma^j (truncating above max_order)."""
         if j < 0:
             raise InputError("shift power must be >= 0")
         return self._like([self.xctx.zero()] * j + list(self.coeffs))
-
-    def euler(self) -> "SigmaSeries":
-        """Apply sigma * d/dsigma: coefficient k picks up a factor k."""
-        return self._like([c * k for k, c in enumerate(self.coeffs)])
 
     def map_indexed(self, fn: Callable[[int, XSeries], XSeries]) -> "SigmaSeries":
         return self._like([fn(k, c) for k, c in enumerate(self.coeffs)])

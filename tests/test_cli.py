@@ -243,3 +243,38 @@ def test_non_integer_exponent_is_a_schema_error(tmp_path, capsys, power):
     payload = json.loads(capsys.readouterr().out)
     assert payload["kind"] == "schema"
     assert "integer powers" in payload["reason"]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", None), ("m", None), ("base_point", None), ("a", None), ("truncation", None),
+    ("truncation", {"D": 3}), ("n", "1"), ("base_point", [0, 0]),
+    ("v", [["2", [0], "0.5"]]), ("v", [[2, ["x"], "0.5"]]), ("v", [[2, [0], [1]]]),
+    ("v", [[99, [0], "0.5"]]), ("v", 7),
+])
+def test_malformed_solution_file_is_a_schema_error(tmp_path, capsys, field, value):
+    problem = _write(tmp_path, "p.json", LOG_ODE)
+    out = tmp_path / "out"
+    assert _run(["solve", "--problem", problem, "--out", out]) == 0
+    capsys.readouterr()
+    doc = json.loads((out / "solution.json").read_text())
+    if value is None:
+        del doc[field]
+    else:
+        doc[field] = value
+    solution = _write(tmp_path, "s.json", doc)
+    assert _run(["verify", "--problem", problem, "--out", out, "--solution", solution]) == 2
+    payload = json.loads(capsys.readouterr().out)  # exactly one JSON object
+    assert payload["kind"] == "schema"
+
+
+@pytest.mark.parametrize("verify, named", [
+    ({"t_exponents": ["x"]}, "verify.t_exponents"),
+    ({"t_values": ["1/10"], "x_offsets": [["1/10", "0", "0"]]}, "verify.x_offsets"),
+    ({"through_order": 4}, "verify.through_order"),
+])
+def test_bad_verify_option_is_a_schema_error(tmp_path, capsys, verify, named):
+    problem = _write(tmp_path, "p.json", dict(LOG_ODE, verify=verify))
+    assert _run(["all", "--problem", problem, "--out", tmp_path / "o"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["kind"] == "schema"
+    assert named in payload["reason"]

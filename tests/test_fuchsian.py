@@ -1,6 +1,6 @@
-"""The order-by-order recursion: trace shifting, closed-form prototypes
-against an independent brute-force oracle, determinism, the divisor law,
-and assembled-solution evaluators."""
+"""The order-by-order recursion: the trace, closed-form prototypes
+against an independent brute-force oracle, the one-pass contract,
+determinism, the divisor law, and assembled-solution evaluators."""
 
 import math
 import random
@@ -9,23 +9,25 @@ from fractions import Fraction as F
 import pytest
 
 from singwave.errors import DomainError, InputError, VanishingDivisorError
-from singwave.fuchsian import RecursionSpec, assemble_solution, shift_initial_data, solve_recursion
+from singwave.fuchsian import RecursionSpec, assemble_solution, solve_recursion
 from singwave.geometry import make_hypersurface
 from singwave.reduction import (
     build_fractional_reduction,
     build_log_reduction,
     build_negative_side,
 )
-from singwave.series import SeriesContext, SigmaSeries, XSeries
+from singwave.series import SeriesContext, SigmaSeries, XSeries, _inv_scalar
 from singwave.verify import symbolic_residual
 
 from helpers import (
+    as_float,
     brute_force_forced_ode,
     ctx_rational,
     dalembert_f,
     ode_f_tau2,
     ode_f_tau2_plus_1,
     pure_power_f,
+    random_admissible_fractional_problem,
     random_admissible_log_problem,
 )
 
@@ -84,13 +86,8 @@ def test_fractional_rejects_trace():
 
 
 # ----------------------------------------------------------------------
-# trace shifting
+# the trace
 # ----------------------------------------------------------------------
-
-
-def test_shift_zero_trace_is_identity():
-    spec, _ = _forced_ode_spec()
-    assert shift_initial_data(spec) is spec
 
 
 def test_shift_constant_trace_plane_wave_zeroes_rhs():
@@ -99,26 +96,10 @@ def test_shift_constant_trace_plane_wave_zeroes_rhs():
     f = dalembert_f(ctx, a)
     psi = ctx.variable(0) * F(1, 2)
     eq = build_log_reduction(f, make_hypersurface(psi), a, K=6)
-    shifted = shift_initial_data(RecursionSpec(eq, ctx.constant(F(7)), K=6))
-    assert shifted.v0.is_zero()
-    known = [ctx.zero()]
+    known = [ctx.constant(F(7))]
     for k in range(1, 6):
-        assert shifted.equation.rhs_slice(known).is_zero()
+        assert eq.rhs_slice(known).is_zero()
         known.append(ctx.zero())
-
-
-def test_shift_equivalence_on_random_problem():
-    rng = random.Random(73)
-    f, h, a, v0 = random_admissible_log_problem(rng, n=1, D=3)
-    eq = build_log_reduction(f, h, a, K=5)
-    spec = RecursionSpec(eq, v0, K=5)
-    v = solve_recursion(spec)
-    # solving the shifted spec and adding back the trace equals solving spec
-    shifted = shift_initial_data(spec)
-    w = solve_recursion(shifted)
-    assert v.coeff(0) == v0
-    for k in range(1, 6):
-        assert v.coeff(k) == w.coeff(k)
 
 
 def test_ode_trace_enters_only_through_derivatives():
@@ -131,6 +112,65 @@ def test_ode_trace_enters_only_through_derivatives():
     assert v_five.coeff(0) == ctx.constant(F(5))
     for k in range(1, 7):
         assert v_zero.coeff(k) == v_five.coeff(k)
+
+
+# ----------------------------------------------------------------------
+# the one-pass contract
+# ----------------------------------------------------------------------
+
+
+def _seeded_specs(K):
+    """(label, spec) over seeded log (n = 1, 2) and fractional (m = 2, 3)
+    problems, each in rational and float arithmetic."""
+    for seed in range(2):
+        for n in (1, 2):
+            problem = random_admissible_log_problem(random.Random(100 + seed), n=n, D=3)
+            for arithmetic, (f, h, a, v0) in (("rational", problem), ("float", as_float(*problem))):
+                yield (f"log n={n} seed={seed} {arithmetic}",
+                       RecursionSpec(build_log_reduction(f, h, a, K=K), v0, K=K))
+        for m in (2, 3):
+            problem = random_admissible_fractional_problem(random.Random(200 + seed), m, D=3)
+            for arithmetic, (f, h, a, *_) in (("rational", problem), ("float", as_float(*problem))):
+                yield (f"m={m} seed={seed} {arithmetic}",
+                       RecursionSpec(build_fractional_reduction(f, h, a, m, K=K), None, K=K))
+
+
+def test_one_pass_equals_rhs_slice_from_scratch_bitwise():
+    for label, spec in _seeded_specs(K=6):
+        eq = spec.equation
+        v = solve_recursion(spec)
+        known = [spec.v0] if eq.first_index else []
+        for k in range(eq.first_index, spec.K + 1):
+            known.append(eq.rhs_slice(known) * _inv_scalar(eq.divisor(k)))
+        assert not all(c.is_zero() for c in known[eq.first_index:]), label
+        for k in range(spec.K + 1):
+            assert v.coeff(k) == known[k], f"{label}: order {k}"
+
+
+def test_solving_twice_with_one_equation_gives_equal_series():
+    for label, spec in _seeded_specs(K=6):
+        assert solve_recursion(spec) == solve_recursion(spec), label
+
+
+def test_products_per_solve_grow_at_most_quadratically(monkeypatch):
+    """Doubling K at most quadruples the XSeries products of a solve."""
+    calls = []
+    multiply = XSeries.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return multiply(self, other)
+
+    counts = {}
+    for K in (10, 20):
+        f, h, a, v0 = random_admissible_log_problem(random.Random(7), n=1, D=4)
+        spec = RecursionSpec(build_log_reduction(f, h, a, K=K), v0, K=K)
+        monkeypatch.setattr(XSeries, "__mul__", counted)
+        solve_recursion(spec)
+        monkeypatch.undo()
+        counts[K] = len(calls)
+        calls.clear()
+    assert counts[20] <= 4 * counts[10], counts
 
 
 # ----------------------------------------------------------------------

@@ -70,7 +70,7 @@ def test_eval_on_sigma_linear_psi():
         [monomial(ctx, 1.0, tau_power=2), monomial(ctx, -1.0, xi_powers=(2, 0)),
          monomial(ctx, -1.0, xi_powers=(0, 2))], 1, ctx)
     psi = ctx.variable(0) * 0.6 + ctx.variable(1) * 0.3
-    restricted = f.eval_part_on_sigma(2, psi)
+    restricted = f.part_on_surface(2, psi)
     assert restricted == ctx.constant(1 - 0.36 - 0.09)
 
 
@@ -86,14 +86,14 @@ def test_eval_on_sigma_dalembert_gives_psi_function():
     expected = (ctx.constant(1)
                 - psi.partial(0) * psi.partial(0)
                 - psi.partial(1) * psi.partial(1)) / a
-    assert f.eval_part_on_sigma(2, psi) == expected
+    assert f.part_on_surface(2, psi) == expected
 
 
 def test_eval_on_sigma_t_coefficient_vanishes_at_zero_surface():
     ctx = _ctx(1)
     f = Nonlinearity.decompose_homogeneous(
         [monomial(ctx, [ctx.zero(), ctx.constant(1.0)], tau_power=2)], 1, ctx)  # t*tau^2
-    assert f.eval_part_on_sigma(2, ctx.zero()).is_zero()
+    assert f.part_on_surface(2, ctx.zero()).is_zero()
 
 
 # ----------------------------------------------------------------------
@@ -101,11 +101,25 @@ def test_eval_on_sigma_t_coefficient_vanishes_at_zero_surface():
 # ----------------------------------------------------------------------
 
 
+def _split(f, l, psi, K):
+    """f_l(t, x; -1, grad psi) at t = psi + T, as the on-surface value and
+    the T-quotient: f_l = on_sigma + T * tilde."""
+    ctx = psi.ctx
+
+    def const(xs):
+        return SigmaSeries.from_xseries(xs, "T", 1, K + 1)
+
+    t = SigmaSeries("T", 1, K + 1, ctx, [psi, ctx.constant(1)])
+    full = f.eval_part_on_jet(l, t, const(ctx.constant(-1)),
+                              [const(psi.partial(i)) for i in range(ctx.n)])
+    return full.coeff(0), SigmaSeries("T", 1, K, ctx, [full.coeff(k + 1) for k in range(K + 1)])
+
+
 def test_split_t_factor():
     ctx = _ctx(1)
     f = Nonlinearity.decompose_homogeneous(
         [monomial(ctx, [ctx.zero(), ctx.constant(1.0)], tau_power=2)], 1, ctx)
-    on_sigma, tilde = f.split_remainder(2, ctx.zero(), K=4)
+    on_sigma, tilde = _split(f, 2, ctx.zero(), K=4)
     assert on_sigma.is_zero()
     assert tilde.coeff(0) == ctx.constant(1.0)
     assert all(tilde.coeff(k).is_zero() for k in range(1, 5))
@@ -116,7 +130,7 @@ def test_split_constant_coefficient_has_zero_tilde():
     f = Nonlinearity.decompose_homogeneous([monomial(ctx, 2.5, tau_power=2)], 1, ctx)
     rng = random.Random(2)
     psi = random_xseries(SeriesContext(1, (F(0),), 3), rng, degree=2)
-    on_sigma, tilde = f.split_remainder(2, psi, K=4)
+    on_sigma, tilde = _split(f, 2, psi, K=4)
     assert on_sigma == psi.ctx.constant(F(5, 2))
     assert tilde.is_zero()
 
@@ -127,7 +141,7 @@ def test_split_quadratic_t_dependence():
     f = Nonlinearity.decompose_homogeneous(
         [monomial(ctx, [ctx.zero(), ctx.zero(), ctx.constant(F(1))], tau_power=2)], 1, ctx)
     psi = ctx.variable(0)
-    on_sigma, tilde = f.split_remainder(2, psi, K=4)
+    on_sigma, tilde = _split(f, 2, psi, K=4)
     assert on_sigma == psi * psi
     assert tilde.coeff(0) == psi * 2
     assert tilde.coeff(1) == ctx.constant(F(1))
@@ -135,18 +149,21 @@ def test_split_quadratic_t_dependence():
 
 
 def test_split_resummation_identity():
-    """on_sigma + T*tilde re-evaluated matches the direct jet expansion."""
+    """on_sigma is the surface restriction, and on_sigma + T*tilde summed
+    at a point equals f_l evaluated there pointwise."""
     rng = random.Random(17)
-    ctx = ctx_rational(2, 3)
+    ctx = ctx_rational(2, 6)  # high enough that nothing is truncated
     psi = random_xseries(ctx, rng, degree=2)
     f = Nonlinearity.decompose_homogeneous(
         [monomial(ctx, [random_xseries(ctx, rng, degree=1) for _ in range(3)],
                   tau_power=1, xi_powers=(1, 0))], 1, ctx)
     K = 4
-    on_sigma, tilde = f.split_remainder(2, psi, K)
-    resummed = SigmaSeries.from_xseries(on_sigma, "T", 1, K) + tilde.shift(1)
-    direct = f._part_on_surface_jet(2, psi, "T", 1, K)
-    assert resummed == direct
+    on_sigma, tilde = _split(f, 2, psi, K)
+    assert on_sigma == f.part_on_surface(2, psi)
+    x, T = (F(1, 3), F(-1, 5)), F(2, 7)
+    resummed = on_sigma.eval(x) + T * tilde.eval_at_sigma(T, x)
+    slopes = [psi.partial(i).eval(x) for i in range(2)]
+    assert resummed == f.eval_numeric(psi.eval(x) + T, x, -1, slopes, part=2)
 
 
 # ----------------------------------------------------------------------

@@ -167,12 +167,6 @@ def test_sigma_shift():
     assert shifted.coeff(2).constant_term() == 2.0
 
 
-def test_sigma_euler_eigenvalue():
-    ctx = SeriesContext(1, (0.0,), 2)
-    s = _sigma(ctx, [0.0, 0.0, 5.0])
-    assert s.euler().coeff(2).constant_term() == 10.0
-
-
 def test_sigma_kind_mismatch():
     ctx = SeriesContext(1, (0.0,), 2)
     t_series = SigmaSeries("T", 1, 2, ctx, [ctx.constant(1)])

@@ -34,6 +34,7 @@ from helpers import (
     ode_f_tau2,
     ode_f_tau2_plus_1,
     pure_power_f,
+    random_admissible_fractional_problem,
     random_admissible_log_problem,
 )
 
@@ -161,6 +162,22 @@ def test_fractional_with_spatial_surface_exact():
     sol = assemble_solution(spec, v, f=f)
     slices = symbolic_residual(sol, f)
     assert all(x.is_zero() for x in slices.values())
+
+
+def test_seeded_fractional_problems_have_zero_symbolic_residual():
+    # curved surfaces with forcing at m = 2, 3 and n = 1, 2: every term of
+    # the reduced equation (cross, first-order, tangential, f_0..f_{m+1})
+    # is live, and the independent oracle must see exact zeros
+    for seed in range(2):
+        for m in (2, 3):
+            for n in (1, 2):
+                f, h, a = random_admissible_fractional_problem(random.Random(200 + seed), m,
+                                                               n=n, D=3)
+                eq = build_fractional_reduction(f, h, a, m, K=6)
+                sol = _solve(eq, None, 6, f)
+                assert not sol.v.is_zero()
+                slices = symbolic_residual(sol, f)
+                assert all(x.is_zero() for x in slices.values()), (seed, m, n)
 
 
 def test_negative_side_symbolic_residual():
